@@ -1,10 +1,12 @@
 #include "uld3d/phys/placer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <tuple>
 
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/metrics.hpp"
@@ -73,6 +75,68 @@ struct RowSkip {
     if (q.x0 < sibling_x1) return true;
     return grid_col >= 0 && fp.bin_span(q).x0 <= grid_col;
   }
+  /// The same verdict from precomputed inputs: `q_x0` is the window's left
+  /// edge and `bin_x0` = fp.bin_span(q).x0.  Both only grow with x.
+  [[nodiscard]] bool covers(double q_x0, std::int64_t bin_x0) const {
+    return q_x0 < sibling_x1 || (grid_col >= 0 && bin_x0 <= grid_col);
+  }
+};
+
+/// Lower bound on `block_cost` over every rect in `rect`'s row: the sum of
+/// the y terms alone.  Each dropped x term is a non-negative addend, and
+/// IEEE addition and multiplication round monotonically, so this never
+/// exceeds block_cost of any rect with the same y and height.
+double row_bound(const SoftBlock& block, const Rect& rect,
+                 const std::vector<PlacedMacro>& fixed) {
+  const double cy = rect.center().y;
+  double bound = 0.0;
+  for (const auto& [index, weight] : block.affinities) {
+    bound += weight * std::abs(cy - fixed[index].rect.center().y);
+  }
+  return bound;
+}
+
+/// First index in [lo, hi) where `pred` holds, for a predicate that is
+/// false and then true along the range (hi when it never holds).
+template <typename Pred>
+std::size_t first_true(std::size_t lo, std::size_t hi, Pred pred) {
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (pred(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// A candidate's position in the reference scan order.  Among candidates
+/// of equal cost, the one with the smallest key is the reference winner.
+struct ScanKey {
+  std::size_t aspect = 0;
+  std::size_t row = 0;
+  std::size_t col = 0;
+  auto operator<=>(const ScanKey&) const = default;
+};
+
+/// One aspect candidate of a block in the best-first scan.
+struct ScanShape {
+  double w = 0.0;
+  double h = 0.0;
+  double penalty = 0.0;
+  std::size_t cols = 0;
+  /// Columns [0, left_end) have their centre at or left of every anchor,
+  /// columns [right_begin, cols) at or right of every anchor.
+  std::size_t left_end = 0;
+  std::size_t right_begin = 0;
+};
+
+/// One lattice row of one aspect, with its cost lower bound.
+struct ScanRow {
+  double bound = 0.0;
+  std::size_t aspect = 0;
+  std::size_t row = 0;
 };
 
 }  // namespace
@@ -88,6 +152,9 @@ PlacementResult Placer::place(Floorplan& fp,
               "affinity index " + std::to_string(index) +
                   " out of range (fixed macros: " +
                   std::to_string(fixed.size()) + ") for block: " + block.name);
+      expects(std::isfinite(weight) && weight >= 0.0,
+              "affinity weight must be finite and non-negative for block: " +
+                  block.name);
     }
   }
 
@@ -95,6 +162,7 @@ PlacementResult Placer::place(Floorplan& fp,
   Counter& c_scanned = registry.counter("phys.placer.candidates_scanned");
   Counter& c_skipped = registry.counter("phys.placer.candidates_skipped");
   Counter& c_legal = registry.counter("phys.placer.legal_checks");
+  Counter& c_pruned = registry.counter("phys.placer.lb_pruned");
 
   // Fast-path state: bin-expanded rects of currently placed siblings.  The
   // buckets mirror `rects` exactly (insert on place, remove+insert on an
@@ -140,11 +208,15 @@ PlacementResult Placer::place(Floorplan& fp,
   // legal (position, shape) wins.  Mild aspect distortion is slightly
   // penalized so square shapes are preferred when space allows.
   constexpr double kAspects[] = {1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 4.0, 0.25};
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  const auto try_place = [&](std::size_t bi, double scan_step,
-                             double penalty_weight) -> Rect {
+  // Reference scan (index off): every (aspect, y, x) lattice position in
+  // order, naive legality, and a strict < so the first of equal-cost
+  // candidates wins.
+  const auto reference_scan = [&](std::size_t bi, double scan_step,
+                                  double penalty_weight) -> Rect {
     const SoftBlock& block = blocks[bi];
-    double best_cost = std::numeric_limits<double>::infinity();
+    double best_cost = kInf;
     Rect best{};
     for (const double aspect_scale : kAspects) {
       const double aspect = block.aspect * aspect_scale;
@@ -153,21 +225,10 @@ PlacementResult Placer::place(Floorplan& fp,
       const double distortion_penalty =
           penalty_weight * fp.width_um() * std::abs(std::log(aspect_scale));
       for (double y = 0.0; y + h <= fp.height_um() + 1e-6; y += scan_step) {
-        RowSkip skip;
         for (double x = 0.0; x + w <= fp.width_um() + 1e-6; x += scan_step) {
           const Rect rect = Rect::at(x, y, w, h);
-          if (fast) {
-            const Rect q = bin_expand(rect, bin);
-            if (skip.covers(fp, q)) {
-              c_skipped.add();
-              continue;
-            }
-            c_scanned.add();
-            if (!legal_fast(block, q, bi, skip)) continue;
-          } else {
-            c_scanned.add();
-            if (!legal_naive(fp, block, rect, rects, bi)) continue;
-          }
+          c_scanned.add();
+          if (!legal_naive(fp, block, rect, rects, bi)) continue;
           const double cost = block_cost(block, rect, fixed) + distortion_penalty;
           if (cost < best_cost) {
             best_cost = cost;
@@ -177,6 +238,150 @@ PlacementResult Placer::place(Floorplan& fp,
       }
     }
     return best;
+  };
+
+  // Exact best-first scan (index on; DESIGN.md §12).  It returns the
+  // reference winner -- the minimum-cost legal candidate, smallest
+  // (aspect, row, col) key among equals -- but prices and tests only
+  // candidates that could still be that winner: rows in ascending order of
+  // a cost lower bound, and in each row only the x-window priced at or
+  // below the incumbent.  The scratch buffers only keep their capacity
+  // across calls.
+  std::vector<double> xs;
+  std::vector<double> ys;
+  std::vector<double> q_x0s;          // bin-expanded left edge per column
+  std::vector<std::int64_t> bin_x0s;  // its first grid column
+  std::vector<ScanRow> scan_rows;
+  const auto best_first_scan = [&](std::size_t bi, double scan_step,
+                                   double penalty_weight) -> Rect {
+    const SoftBlock& block = blocks[bi];
+    double anchor_x_min = kInf;
+    double anchor_x_max = -kInf;
+    for (const auto& [index, weight] : block.affinities) {
+      anchor_x_min = std::min(anchor_x_min, fixed[index].rect.center().x);
+      anchor_x_max = std::max(anchor_x_max, fixed[index].rect.center().x);
+    }
+    std::array<ScanShape, std::size(kAspects)> shapes;
+    xs.clear();
+    ys.clear();
+    scan_rows.clear();
+    for (std::size_t a = 0; a < shapes.size(); ++a) {
+      ScanShape& s = shapes[a];
+      const double aspect = block.aspect * kAspects[a];
+      s.w = std::sqrt(block.area_um2 * aspect);
+      s.h = std::sqrt(block.area_um2 / aspect);
+      s.penalty =
+          penalty_weight * fp.width_um() * std::abs(std::log(kAspects[a]));
+      // The reference loops' accumulated coordinates, bit for bit: every
+      // aspect walks the same sequence and only stops at a different
+      // length, so the lattices are shared prefixes.
+      for (double x = 0.0; x + s.w <= fp.width_um() + 1e-6; x += scan_step) {
+        if (s.cols++ == xs.size()) xs.push_back(x);
+      }
+      std::size_t rows = 0;
+      for (double y = 0.0; y + s.h <= fp.height_um() + 1e-6; y += scan_step) {
+        if (rows++ == ys.size()) ys.push_back(y);
+      }
+      const auto centre_x = [&](std::size_t col) {
+        return Rect::at(xs[col], 0.0, s.w, s.h).center().x;
+      };
+      s.left_end = first_true(0, s.cols, [&](std::size_t col) {
+        return centre_x(col) > anchor_x_min;
+      });
+      s.right_begin = first_true(0, s.cols, [&](std::size_t col) {
+        return centre_x(col) >= anchor_x_max;
+      });
+      for (std::size_t r = 0; r < rows; ++r) {
+        const Rect rect = Rect::at(0.0, ys[r], s.w, s.h);
+        scan_rows.push_back({row_bound(block, rect, fixed) + s.penalty, a, r});
+      }
+    }
+    // Per column, the two inputs of RowSkip::covers, so a blocked run is
+    // skipped without bin-expanding every probed candidate.
+    q_x0s.clear();
+    bin_x0s.clear();
+    for (const double x : xs) {
+      const Rect q = bin_expand(Rect::at(x, 0.0, 0.0, 0.0), bin);
+      q_x0s.push_back(q.x0);
+      bin_x0s.push_back(fp.bin_span(q).x0);
+    }
+    std::sort(scan_rows.begin(), scan_rows.end(),
+              [](const ScanRow& a, const ScanRow& b) {
+                return std::tie(a.bound, a.aspect, a.row) <
+                       std::tie(b.bound, b.aspect, b.row);
+              });
+
+    double best_cost = kInf;
+    Rect best{};
+    ScanKey best_key;
+    std::uint64_t scanned = 0;
+    std::uint64_t skipped = 0;
+    std::uint64_t pruned = 0;
+    for (std::size_t i = 0; i < scan_rows.size(); ++i) {
+      const ScanRow& row = scan_rows[i];
+      if (row.bound > best_cost ||
+          (row.bound == best_cost &&
+           ScanKey{row.aspect, row.row, 0} > best_key)) {
+        // Every remaining row is bounded at or above the incumbent and
+        // either costs more or loses the tie.
+        for (; i < scan_rows.size(); ++i) {
+          pruned += shapes[scan_rows[i].aspect].cols;
+        }
+        break;
+      }
+      const ScanShape& s = shapes[row.aspect];
+      const double y = ys[row.row];
+      // Left of every anchor the cost does not increase with x, so the
+      // columns priced above the incumbent there form a prefix.
+      std::size_t col = first_true(0, s.left_end, [&](std::size_t c) {
+        return block_cost(block, Rect::at(xs[c], y, s.w, s.h), fixed) +
+                   s.penalty <= best_cost;
+      });
+      pruned += col;
+      RowSkip skip;
+      for (; col < s.cols; ++col) {
+        const Rect rect = Rect::at(xs[col], y, s.w, s.h);
+        const double cost = block_cost(block, rect, fixed) + s.penalty;
+        const ScanKey key{row.aspect, row.row, col};
+        if (!(cost < best_cost || (cost == best_cost && key < best_key))) {
+          if (col >= s.right_begin && cost > best_cost) {
+            // Right of every anchor the cost only grows from here.
+            pruned += s.cols - col;
+            break;
+          }
+          ++pruned;
+          continue;
+        }
+        if (skip.covers(q_x0s[col], bin_x0s[col])) {
+          // covers() is monotone in x: jump past the whole blocked run.
+          ++skipped;
+          col = first_true(col + 1, s.cols, [&](std::size_t c) {
+                  return !skip.covers(q_x0s[c], bin_x0s[c]);
+                }) - 1;
+          continue;
+        }
+        ++scanned;
+        if (!legal_fast(block, bin_expand(rect, bin), bi, skip)) continue;
+        best_cost = cost;
+        best = rect;
+        best_key = key;
+        if (best_cost <= row.bound) {
+          // The rest of the row costs at least the bound and loses ties.
+          pruned += s.cols - col - 1;
+          break;
+        }
+      }
+    }
+    c_scanned.add(scanned);
+    c_skipped.add(skipped);
+    c_pruned.add(pruned);
+    return best;
+  };
+
+  const auto try_place = [&](std::size_t bi, double scan_step,
+                             double penalty_weight) -> Rect {
+    return fast ? best_first_scan(bi, scan_step, penalty_weight)
+                : reference_scan(bi, scan_step, penalty_weight);
   };
 
   // First-fit bottom-left scan, ignoring affinities — the dense-packing

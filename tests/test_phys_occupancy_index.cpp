@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "uld3d/phys/floorplan.hpp"
@@ -333,9 +335,201 @@ TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
   }
 }
 
-FlowInput case_study_input() {
+/// One randomized placer input, rebuilt from scratch for each mode so the
+/// fast and reference runs start from identical floorplans.
+struct PlacerCase {
+  double width = 0.0;
+  double height = 0.0;
+  double bin = 0.0;
+  PlacerOptions options;
+  std::vector<std::pair<Macro, Point>> macros;  ///< lower-left corners
+  std::vector<SoftBlock> blocks;
+  std::uint64_t seed = 0;
+};
+
+/// Places `c.macros` (some may not fit; the outcome is deterministic) and
+/// returns the floorplan.
+Floorplan build_floorplan(const PlacerCase& c) {
+  Floorplan fp(c.width, c.height, tech::TierStack::make_m3d_130nm(), c.bin);
+  for (const auto& [macro, at] : c.macros) fp.place_macro(macro, at.x, at.y);
+  return fp;
+}
+
+PlacementResult run_case(const PlacerCase& c, bool fast) {
+  set_placer_index_enabled(fast);
+  Floorplan fp = build_floorplan(c);
+  Rng rng(c.seed);
+  return Placer(c.options).place(fp, c.blocks, rng);
+}
+
+PlacerCase random_placer_case(Rng& rng, int trial) {
+  // Integral (step, bin) pairs where bin has more factors of two than
+  // step/2: an odd multiple of step/2 is then never on the bin lattice, so
+  // a placed corner tells which scan produced it (see the coverage counts
+  // below).  The last step is not exactly representable, so its accumulated
+  // lattice drifts from k * step.
+  constexpr std::pair<double, double> kLattices[] = {
+      {100.0, 40.0}, {120.0, 48.0}, {80.0, 32.0}, {70.3, 40.0}};
+  const auto [step, bin] = kLattices[trial % 4];
+  PlacerCase c;
+  c.width = 800.0 + std::floor(rng.uniform() * 1800.0);
+  c.height = 800.0 + std::floor(rng.uniform() * 1800.0);
+  c.bin = bin;
+  c.options.grid_step_um = step;
+  c.options.anneal_moves = rng.below(3) == 0 ? 300 : 0;
+  c.seed = rng();
+
+  if (trial % 6 == 5) {
+    // A pocket exactly one lattice-aligned square wide and tall, at odd
+    // multiples of step/2 and walled in on the Si tier: no shape fits at a
+    // multiple of step, so only the step/2 second-chance scan places it.
+    const double side = 2.0 * step;
+    const auto odd_half_step = [&] {
+      return step / 2 * static_cast<double>(2 * rng.below(3) + 1);
+    };
+    const double gx = odd_half_step();
+    const double gy = odd_half_step();
+    const double x0 = std::floor(gx / bin) * bin;
+    const double y0 = std::floor(gy / bin) * bin;
+    const double x1 = std::ceil((gx + side) / bin) * bin;
+    const double y1 = std::ceil((gy + side) / bin) * bin;
+    const auto wall = [&](double x, double y, double w, double h) {
+      Macro macro;
+      macro.name = "wall" + std::to_string(c.macros.size());
+      macro.width_um = w;
+      macro.height_um = h;
+      c.macros.emplace_back(macro, Point{x, y});
+    };
+    wall(0.0, 0.0, x0, c.height);
+    wall(x1, 0.0, c.width - x1, c.height);
+    wall(x0, 0.0, x1 - x0, y0);
+    wall(x0, y1, x1 - x0, c.height - y1);
+    SoftBlock block;
+    block.name = "pocket";
+    block.area_um2 = side * side;
+    for (std::uint64_t a = rng.below(4); a > 0; --a) {
+      block.affinities.emplace_back(static_cast<std::size_t>(rng.below(4)),
+                                    rng.uniform());
+    }
+    c.blocks.push_back(block);
+    return c;
+  }
+
+  // Fixed macros; about half have their centre on the scan lattice, which
+  // together with integer block sides forces exact cost ties.
+  const auto n_macros = static_cast<int>(rng.below(5));
+  for (int m = 0; m < n_macros; ++m) {
+    Macro macro;
+    macro.name = "fixed" + std::to_string(m);
+    macro.width_um = 2.0 * (50.0 + std::floor(rng.uniform() * 200.0));
+    macro.height_um = 2.0 * (50.0 + std::floor(rng.uniform() * 200.0));
+    switch (rng.below(3)) {
+      case 0:  // blocks Si
+        break;
+      case 1:  // M3D array: Si stays free underneath
+        macro.blocks_si = false;
+        macro.blocks_rram = true;
+        break;
+      default:
+        macro.blocks_rram = true;
+        break;
+    }
+    Point at{std::floor(rng.uniform() * (c.width - macro.width_um)),
+             std::floor(rng.uniform() * (c.height - macro.height_um))};
+    if (rng.below(2) == 0) {
+      // Snap the centre to the nearest lattice point.
+      const auto snap = [&](double lo, double size) {
+        return std::max(0.0, std::round((lo + size / 2) / step) * step -
+                                 size / 2);
+      };
+      at = {snap(at.x, macro.width_um), snap(at.y, macro.height_um)};
+    }
+    c.macros.emplace_back(macro, at);
+  }
+  const std::size_t n_fixed = build_floorplan(c).macros().size();
+
+  // Soft blocks filling 10%..110% of the die, so the step/2 and shelf
+  // fallbacks (and outright failures) are all reached.
+  const double fill = 0.1 + rng.uniform() * 1.0;
+  const auto n_blocks = 1 + static_cast<int>(rng.below(7));
+  for (int b = 0; b < n_blocks; ++b) {
+    SoftBlock block;
+    block.name = "b" + std::to_string(b);
+    if (rng.below(2) == 0) {
+      // Lattice-aligned square: integer sides that are multiples of step.
+      const double side = step * static_cast<double>(1 + rng.below(4));
+      block.area_um2 = side * side;
+    } else {
+      block.area_um2 = fill * c.width * c.height / n_blocks *
+                       (0.5 + rng.uniform());
+    }
+    block.aspect = rng.below(3) == 0 ? 0.5 + rng.uniform() * 1.5 : 1.0;
+    block.tier = rng.below(5) == 0 ? tech::TierKind::kRram
+                                   : tech::TierKind::kSiCmosFeol;
+    const auto n_aff = n_fixed == 0 ? 0 : static_cast<int>(rng.below(4));
+    for (int a = 0; a < n_aff; ++a) {
+      constexpr double kWeights[] = {1.0, 0.5, 0.0};
+      const std::uint64_t pick = rng.below(4);
+      const double weight = pick < 3 ? kWeights[pick] : rng.uniform() * 2.0;
+      block.affinities.emplace_back(
+          static_cast<std::size_t>(rng.below(n_fixed)), weight);
+    }
+    c.blocks.push_back(block);
+  }
+  return c;
+}
+
+TEST(PlacerDifferential, BestFirstScanMatchesReferenceScan) {
+  const IndexFlagGuard guard;
+  Rng rng(0x5ca9);
+  int second_chance = 0;  // placements only the step/2 scan can produce
+  int shelf = 0;          // placements only the shelf packing can produce
+  int failed = 0;
+  int ties = 0;           // zero-affinity or zero-weight blocks
+  for (int trial = 0; trial < 300; ++trial) {
+    const PlacerCase c = random_placer_case(rng, trial);
+    const PlacementResult fast = run_case(c, true);
+    const PlacementResult naive = run_case(c, false);
+    ASSERT_EQ(fast.success, naive.success) << "trial " << trial;
+    ASSERT_EQ(fast.unplaced, naive.unplaced) << "trial " << trial;
+    ASSERT_EQ(fast.source_index, naive.source_index) << "trial " << trial;
+    ASSERT_TRUE(same_bits(fast.total_hpwl_um, naive.total_hpwl_um))
+        << "trial " << trial;
+    ASSERT_EQ(fast.blocks.size(), naive.blocks.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < fast.blocks.size(); ++i) {
+      ASSERT_TRUE(same_rect(fast.blocks[i].rect, naive.blocks[i].rect))
+          << "trial " << trial << " block " << i;
+    }
+
+    const double step = c.options.grid_step_um;
+    const auto on = [](double v, double pitch) {
+      return std::fmod(v, pitch) == 0.0;
+    };
+    for (const auto& placed : naive.blocks) {
+      if (!on(step, 1.0)) break;  // classification needs an integral lattice
+      for (const double v : {placed.rect.x0, placed.rect.y0}) {
+        if (on(v, step / 2) && !on(v, step)) ++second_chance;
+        if (on(v, c.bin) && !on(v, step / 2)) ++shelf;
+      }
+    }
+    if (!naive.success) ++failed;
+    for (const auto& block : c.blocks) {
+      bool inert = true;
+      for (const auto& [index, weight] : block.affinities) {
+        inert = inert && weight == 0.0;
+      }
+      if (inert) ++ties;
+    }
+  }
+  EXPECT_GT(second_chance, 0);
+  EXPECT_GT(shelf, 0);
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(ties, 0);
+}
+
+FlowInput case_study_input(double capacity_mb = 64.0) {
   FlowInput input;
-  input.rram_capacity_bits = units::mb_to_bits(64.0);
+  input.rram_capacity_bits = units::mb_to_bits(capacity_mb);
   input.cs_sram_area_um2 = 1.97e6;
   input.cs_logic_area_um2 = 4.6e6;
   input.cs_logic_gates = 295600;
@@ -379,13 +573,16 @@ void expect_reports_identical(const DesignReport& a, const DesignReport& b) {
   }
 }
 
-TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff) {
+/// A full run_comparison with `banks` M3D CSs (8 MB of RRAM each, the
+/// case-study ratio) must be bit-identical with the fast paths on and off.
+void expect_comparison_identical_with_index_off(std::int64_t banks) {
   const IndexFlagGuard guard;
   const M3dFlow flow;
+  const FlowInput input = case_study_input(8.0 * static_cast<double>(banks));
   set_placer_index_enabled(true);
-  const FlowComparison fast = flow.run_comparison(case_study_input(), 8);
+  const FlowComparison fast = flow.run_comparison(input, banks);
   set_placer_index_enabled(false);
-  const FlowComparison naive = flow.run_comparison(case_study_input(), 8);
+  const FlowComparison naive = flow.run_comparison(input, banks);
   set_placer_index_enabled(true);
   expect_reports_identical(fast.design_2d, naive.design_2d);
   expect_reports_identical(fast.design_3d, naive.design_3d);
@@ -393,6 +590,18 @@ TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff) {
   EXPECT_TRUE(
       same_bits(fast.wirelength_per_cs_ratio, naive.wirelength_per_cs_ratio));
   EXPECT_TRUE(same_bits(fast.peak_density_ratio, naive.peak_density_ratio));
+}
+
+TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff) {
+  expect_comparison_identical_with_index_off(8);
+}
+
+TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff15Banks) {
+  expect_comparison_identical_with_index_off(15);
+}
+
+TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff32Banks) {
+  expect_comparison_identical_with_index_off(32);
 }
 
 TEST(PlacerMetrics, CountersTrackScanAndSkipActivity) {
@@ -403,6 +612,7 @@ TEST(PlacerMetrics, CountersTrackScanAndSkipActivity) {
   registry.counter("phys.placer.candidates_scanned").reset();
   registry.counter("phys.placer.candidates_skipped").reset();
   registry.counter("phys.placer.legal_checks").reset();
+  registry.counter("phys.placer.lb_pruned").reset();
 
   Floorplan fp(6000.0, 6000.0, tech::TierStack::make_m3d_130nm(), 100.0);
   ASSERT_TRUE(fp.place_macro(Macro::rram_array_2d("m", 16.0e6), 0.0, 0.0));
@@ -418,6 +628,9 @@ TEST(PlacerMetrics, CountersTrackScanAndSkipActivity) {
   EXPECT_GT(registry.counter("phys.placer.candidates_scanned").value(), 0u);
   EXPECT_GT(registry.counter("phys.placer.candidates_skipped").value(), 0u);
   EXPECT_GT(registry.counter("phys.placer.legal_checks").value(), 0u);
+  // Once the first legal spot is found, the other aspects' rows are bounded
+  // above it (distortion penalty) and are never priced.
+  EXPECT_GT(registry.counter("phys.placer.lb_pruned").value(), 0u);
   // Legality is only ever checked on candidates that were not skipped.
   EXPECT_LE(registry.counter("phys.placer.legal_checks").value(),
             registry.counter("phys.placer.candidates_scanned").value());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "uld3d/util/check.hpp"
 
 namespace uld3d::phys {
@@ -151,6 +153,23 @@ TEST(Placer, RejectsOutOfRangeAffinityIndex) {
   // In-range affinities still place.
   const auto ok = placer.place(fp, {block("c", 1.0e6, {{0, 1.0}})}, rng);
   EXPECT_TRUE(ok.success);
+}
+
+TEST(Placer, RejectsNonFiniteOrNegativeAffinityWeight) {
+  // The best-first scan's row bound is only a lower bound for finite,
+  // non-negative weights, so anything else is refused up front.
+  Floorplan fp = make_fp();
+  ASSERT_TRUE(fp.place_macro(Macro::rram_array_m3d("anchor", 1.0e6), 0.0, 0.0));
+  Rng rng(1);
+  const Placer placer;
+  for (const double weight : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                              std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(placer.place(fp, {block("a", 1.0e6, {{0, weight}})}, rng),
+                 PreconditionError)
+        << "weight " << weight;
+  }
+  // A zero weight is a valid (if inert) affinity.
+  EXPECT_TRUE(placer.place(fp, {block("b", 1.0e6, {{0, 0.0}})}, rng).success);
 }
 
 TEST(Placer, BlockDimensionsFollowAspect) {
