@@ -1,7 +1,8 @@
 // Checkpoint/restart + deterministic sharding for design-space sweeps —
-// the machinery that turns `run_sweep`'s one-process, one-pass batch loop
-// into restartable, distributable units of work (ROADMAP item 2: overnight
-// 10^5–10^6-point sweeps across many machines).
+// the on-disk state and shard bookkeeping behind run_sweep's checkpoint
+// and shard policies (SweepOptions::checkpoint_path / resume / shard),
+// which turn one sweep into restartable, distributable units of work
+// (overnight 10^5–10^6-point sweeps across many machines).
 //
 // Three pieces:
 //
@@ -17,15 +18,10 @@
 //    `validate_checkpoint` refuses a checkpoint whose fingerprint does not
 //    match the grid it is being resumed against.
 //
-//  * `run_sweep_resumable` — a resume-aware, shard-aware run_sweep.
-//    Completed points are loaded from the checkpoint and NOT re-evaluated;
-//    the rest are evaluated through the same `evaluate_sweep_point` kernel
-//    as run_sweep, so the final rows are bit-identical to an uninterrupted
-//    full run at any jobs count.  The runner flushes a checkpoint every
-//    `checkpoint_interval` completed points, on any exception, and on the
-//    interrupt flag (SIGINT/SIGTERM via util/checkpoint.hpp), in which
-//    case it throws `SweepInterrupted` — the CLI maps that to the distinct
-//    "interrupted, resumable" exit code.
+//  * `SweepInterrupted` — what run_sweep throws after the interrupt flag
+//    (SIGINT/SIGTERM via util/checkpoint.hpp) stopped it and its state was
+//    flushed; the CLI maps it to the distinct "interrupted, resumable"
+//    exit code.
 //
 //  * sharding + `merge_shards` — `ShardSpec{i, N}` deterministically
 //    partitions the grid index space (shard i owns indices g with
@@ -39,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,17 +45,6 @@ namespace uld3d::dse {
 
 /// Bumped when the on-disk layout changes; older files are refused.
 inline constexpr int kCheckpointSchemaVersion = 1;
-
-/// One deterministic slice of the grid index space: shard `index` of
-/// `count` owns indices g with g % count == index (strided, so expensive
-/// regions of the grid spread evenly across machines).  {0, 1} = the whole
-/// grid (unsharded).
-struct ShardSpec {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  [[nodiscard]] bool sharded() const { return count > 1; }
-};
 
 /// Parse "i/N" (e.g. "0/4"); throws StatusError(kInvalidArgument) unless
 /// 0 <= i < N and N >= 1.
@@ -130,8 +116,17 @@ void validate_checkpoint(const SweepCheckpoint& checkpoint,
                          const std::string& fingerprint,
                          const ShardSpec& shard);
 
-/// Thrown when the interrupt flag stops a resumable sweep.  The partial
-/// state has already been flushed to the checkpoint path; re-running with
+/// The resume step of a checkpointed sweep: nullopt when `path` does not
+/// exist (a fresh start).  An existing file is refused unless `resume` is
+/// set (StatusError(kInvalidConfig) — silently clobbering completed work is
+/// never the right default); otherwise it is loaded and validated against
+/// the sweep about to run.
+[[nodiscard]] std::optional<SweepCheckpoint> load_resume_checkpoint(
+    const std::string& path, bool resume, std::size_t grid_size,
+    const std::string& fingerprint, const ShardSpec& shard);
+
+/// Thrown when the interrupt flag stops a sweep.  The partial state has
+/// already been flushed to the checkpoint path (if any); re-running with
 /// resume enabled continues where this run stopped.
 class SweepInterrupted : public Error {
  public:
@@ -144,43 +139,6 @@ class SweepInterrupted : public Error {
   std::size_t completed_ = 0;
   std::size_t total_ = 0;
 };
-
-struct ResumableOptions {
-  ErrorPolicy policy = ErrorPolicy::kSkipAndRecord;
-  int jobs = 0;               ///< as SweepOptions::jobs
-  ShardSpec shard;            ///< slice of the grid this process owns
-  std::string checkpoint_path;  ///< "" = no checkpointing (sharding only)
-  /// Load an existing checkpoint_path instead of starting fresh.  When
-  /// false and the file exists, the runner refuses to overwrite it
-  /// (StatusError(kInvalidConfig)) — silently clobbering completed work is
-  /// never the right default.
-  bool resume = false;
-  /// Flush the checkpoint after this many newly completed points (and
-  /// always at the end, and on interrupt/exception).
-  std::size_t checkpoint_interval = 64;
-  /// Caller config fingerprint folded into sweep_fingerprint().
-  std::string config_hash;
-  /// Canonical evaluation key for sweep-point deduplication — same contract
-  /// as SweepOptions::point_key.  Grouping happens over the points still
-  /// TO DO this run (resumed rows are already final); each class's
-  /// lowest-index remaining point is evaluated and its aliases are filled
-  /// in the same work item, so a checkpoint snapshot only ever contains
-  /// fully-written rows and rows stay bit-identical to a dedup-off run
-  /// across any interrupt/resume schedule.
-  std::function<std::string(const std::vector<double>&)> point_key;
-};
-
-/// Resume-aware, shard-aware run_sweep.  The returned result holds the
-/// shard's domain rows ascending by grid_index (the full grid for an
-/// unsharded run) and is bit-identical — rows, failure_summary(), table
-/// output — to the corresponding slice of a plain run_sweep at any jobs
-/// count, whether or not the run was interrupted and resumed in between.
-/// Throws SweepInterrupted when stopped by the interrupt flag.
-[[nodiscard]] SweepResult run_sweep_resumable(
-    const Grid& grid, const std::vector<std::string>& metric_names,
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        evaluate,
-    const ResumableOptions& options);
 
 /// Stitch complete shard checkpoints back into the full-grid result.
 /// Every file must validate against `fingerprint` and `grid_size`, the

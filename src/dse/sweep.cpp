@@ -4,13 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
-#include "uld3d/dse/checkpoint.hpp"  // sweep_fingerprint
+#include "uld3d/dse/checkpoint.hpp"
 #include "uld3d/util/check.hpp"
+#include "uld3d/util/checkpoint.hpp"
 #include "uld3d/util/fault.hpp"
 #include "uld3d/util/flightrec.hpp"
 #include "uld3d/util/metrics.hpp"
@@ -19,26 +21,6 @@
 #include "uld3d/util/trace.hpp"
 
 namespace uld3d::dse {
-
-namespace {
-
-std::atomic<bool>& dedup_flag() {
-  static std::atomic<bool> enabled{[] {
-    const char* env = std::getenv("ULD3D_NO_SWEEP_DEDUP");
-    return env == nullptr || *env == '\0';
-  }()};
-  return enabled;
-}
-
-}  // namespace
-
-bool sweep_dedup_enabled() {
-  return dedup_flag().load(std::memory_order_relaxed);
-}
-
-void set_sweep_dedup_enabled(bool enabled) {
-  dedup_flag().store(enabled, std::memory_order_relaxed);
-}
 
 Grid& Grid::axis(std::string name, std::vector<double> values) {
   expects(!values.empty(), "axis needs at least one value: " + name);
@@ -212,6 +194,9 @@ std::string SweepResult::failure_summary() const {
 
 namespace {
 
+using Evaluator =
+    std::function<std::vector<double>(const std::vector<double>&)>;
+
 /// Classify an evaluation failure into a structured Failure.
 Failure classify(const std::exception& error) {
   if (const auto* status = dynamic_cast<const StatusError*>(&error)) {
@@ -223,14 +208,17 @@ Failure classify(const std::exception& error) {
   return Failure(ErrorCode::kInternal, error.what());
 }
 
-}  // namespace
-
-SweepRow evaluate_sweep_point(
-    const Grid& grid, std::size_t grid_index,
-    const std::vector<std::string>& metric_names,
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        evaluate,
-    ErrorPolicy policy) {
+/// Fill `row` (grid_index and params already set, metrics capacity already
+/// reserved): evaluated, or — for a dedup alias — copied from its
+/// already-evaluated `representative` (the alias keeps its own params and
+/// grid_index, the representative's metrics and failure verbatim).  Both do
+/// the same counter, breadcrumb and point_done bookkeeping, so a run report
+/// has the same shape with or without a point_key.  Metrics are copied into
+/// the reserved storage rather than moved in, so a worker thread allocates
+/// no long-lived row memory.  Throws under ErrorPolicy::kFailFast.
+void sweep_point(SweepRow& row, const std::vector<std::string>& metric_names,
+                 const Evaluator& evaluate, ErrorPolicy policy,
+                 const SweepRow* representative) {
   // Registry handles are stable for the process lifetime, so hoist the
   // lookups once; Counter::add is one branch when metrics are disabled.
   MetricsRegistry& registry = MetricsRegistry::instance();
@@ -246,101 +234,63 @@ SweepRow evaluate_sweep_point(
   const auto event_start = events ? std::chrono::steady_clock::now()
                                   : std::chrono::steady_clock::time_point{};
 
-  SweepRow row;
-  row.grid_index = grid_index;
-  row.params = grid.point(grid_index);
-  std::optional<std::vector<double>> metrics;
-  try {
-    TraceSpan point_span("dse.sweep.point", "dse");
-    // Always-on breadcrumb: the postmortem dump pins which grid index was
-    // in flight on each worker (also the ULD3D_CRASH_AT injection point
-    // the fatal-path tests target).
-    flightrec::event("dse.point", grid_index);
-    ScopedTimer point_timer(m_point_us);
-    m_points.add();
-    fault_site("dse.sweep.point");
-    metrics = evaluate(row.params);
-  } catch (const InvariantError&) {
-    throw;  // library bug: never downgrade to a per-point failure
-  } catch (const std::exception& error) {
-    if (policy == ErrorPolicy::kFailFast) throw;
-    row.failure = classify(error);
-  }
-  if (metrics.has_value()) {
-    // A wrong metric count is an evaluator contract bug, not a bad design
-    // point — it aborts the sweep under every policy.
-    expects(metrics->size() == metric_names.size(),
-            "evaluator returned wrong metric count");
-    for (std::size_t m = 0; m < metrics->size(); ++m) {
-      if (std::isfinite((*metrics)[m])) continue;
-      Failure failure =
-          Failure(ErrorCode::kNumericalError, "metric is not finite")
-              .with("metric", metric_names[m])
-              .with("value", std::isnan((*metrics)[m]) ? "nan" : "inf");
-      if (policy == ErrorPolicy::kFailFast) {
-        throw StatusError(std::move(failure));
-      }
-      row.failure = std::move(failure);
-      break;
-    }
-    if (row.ok()) row.metrics = std::move(*metrics);
-  }
-  if (!row.ok()) {
-    row.metrics.assign(metric_names.size(),
-                       std::numeric_limits<double>::quiet_NaN());
-    // Counted as both: a failed point, and one the policy skipped-and-
-    // recorded (compare against fault.injected_trips to split a run
-    // report into injected vs organic failures).
-    m_failed.add();
-    m_skipped.add();
-  } else {
-    m_ok.add();
-  }
-  if (events) {
-    const double dur_us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - event_start)
-                              .count();
-    EventFailure failure;
-    if (!row.ok()) {
-      failure.code = error_code_name(row.failure->code);
-      failure.message = row.failure->message;
-      failure.context = row.failure->context;
-    }
-    EventSink::instance().emit_point_done(grid_index, row.params, row.metrics,
-                                          row.ok() ? nullptr : &failure,
-                                          dur_us);
-  }
-  return row;
-}
-
-SweepRow alias_sweep_point(const Grid& grid, std::size_t grid_index,
-                           const SweepRow& representative) {
-  MetricsRegistry& registry = MetricsRegistry::instance();
-  static Counter& m_points = registry.counter("dse.sweep.points");
-  static Counter& m_ok = registry.counter("dse.sweep.ok");
-  static Counter& m_failed = registry.counter("dse.sweep.failed");
-  static Counter& m_skipped = registry.counter("dse.sweep.skipped");
-  static Histogram& m_point_us = registry.histogram("dse.sweep.point_us");
-
-  const bool events = EventSink::enabled();
-  const auto event_start = events ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-
-  SweepRow row;
-  row.grid_index = grid_index;
-  row.params = grid.point(grid_index);
-  {
+  const std::size_t g = row.grid_index;
+  if (representative != nullptr) {
     // Same breadcrumb and counters as a real evaluation; the recorded
     // duration is just the fan-out copy, which is what the point cost.
-    flightrec::event("dse.point", grid_index);
+    flightrec::event("dse.point", g);
     ScopedTimer point_timer(m_point_us);
     m_points.add();
-    row.metrics = representative.metrics;
-    row.failure = representative.failure;
+    row.metrics = representative->metrics;
+    row.failure = representative->failure;
+  } else {
+    std::optional<std::vector<double>> metrics;
+    try {
+      TraceSpan point_span("dse.sweep.point", "dse");
+      // Always-on breadcrumb: the postmortem dump pins which grid index was
+      // in flight on each worker (also the ULD3D_CRASH_AT injection point
+      // the fatal-path tests target).
+      flightrec::event("dse.point", g);
+      ScopedTimer point_timer(m_point_us);
+      m_points.add();
+      fault_site("dse.sweep.point");
+      metrics = evaluate(row.params);
+    } catch (const InvariantError&) {
+      throw;  // library bug: never downgrade to a per-point failure
+    } catch (const std::exception& error) {
+      if (policy == ErrorPolicy::kFailFast) throw;
+      row.failure = classify(error);
+    }
+    if (metrics.has_value()) {
+      // A wrong metric count is an evaluator contract bug, not a bad design
+      // point — it aborts the sweep under every policy.
+      expects(metrics->size() == metric_names.size(),
+              "evaluator returned wrong metric count");
+      for (std::size_t m = 0; m < metrics->size(); ++m) {
+        if (std::isfinite((*metrics)[m])) continue;
+        Failure failure =
+            Failure(ErrorCode::kNumericalError, "metric is not finite")
+                .with("metric", metric_names[m])
+                .with("value", std::isnan((*metrics)[m]) ? "nan" : "inf");
+        if (policy == ErrorPolicy::kFailFast) {
+          throw StatusError(std::move(failure));
+        }
+        row.failure = std::move(failure);
+        break;
+      }
+      if (row.ok()) row.metrics.assign(metrics->begin(), metrics->end());
+    }
+    if (!row.ok()) {
+      row.metrics.assign(metric_names.size(),
+                         std::numeric_limits<double>::quiet_NaN());
+    }
   }
   if (row.ok()) {
     m_ok.add();
   } else {
+    // Counted as both: a failed point, and one the policy skipped-and-
+    // recorded (compare against fault.injected_trips to split a run report
+    // into injected vs organic failures).
     m_failed.add();
     m_skipped.add();
   }
@@ -354,28 +304,30 @@ SweepRow alias_sweep_point(const Grid& grid, std::size_t grid_index,
       failure.message = row.failure->message;
       failure.context = row.failure->context;
     }
-    EventSink::instance().emit_point_done(grid_index, row.params, row.metrics,
+    EventSink::instance().emit_point_done(g, row.params, row.metrics,
                                           row.ok() ? nullptr : &failure,
                                           dur_us);
   }
-  return row;
 }
 
-SweepResult run_sweep(
-    const Grid& grid, const std::vector<std::string>& metric_names,
-    const std::function<std::vector<double>(const std::vector<double>&)>&
-        evaluate,
-    const SweepOptions& options) {
+}  // namespace
+
+SweepResult run_sweep(const Grid& grid,
+                      const std::vector<std::string>& metric_names,
+                      const Evaluator& evaluate, const SweepOptions& options) {
   expects(!metric_names.empty(), "sweep needs at least one metric");
+  expects(options.checkpoint_interval >= 1,
+          "checkpoint interval must be at least 1");
   const std::size_t grid_size = grid.size();
+  const std::vector<std::size_t> domain =
+      shard_domain(grid_size, options.shard);
   std::vector<std::string> param_names;
   param_names.reserve(grid.axis_count());
   for (const auto& axis : grid.axes()) param_names.push_back(axis.name);
 
   MetricsRegistry& registry = MetricsRegistry::instance();
-  Counter& m_runs = registry.counter("dse.sweep.runs");
+  registry.counter("dse.sweep.runs").add();
   registry.gauge("dse.sweep.grid_size").set(static_cast<double>(grid_size));
-  m_runs.add();
   TraceSpan sweep_span("dse.sweep", "dse");
   // Stage-level resource attribution for the whole sweep: wall + thread CPU
   // + alloc/RSS, feeding the stage event and the stage.dse.sweep.* metrics.
@@ -384,6 +336,39 @@ SweepResult run_sweep(
   const auto sweep_start = timed ? std::chrono::steady_clock::now()
                                  : std::chrono::steady_clock::time_point{};
 
+  const bool checkpointing = !options.checkpoint_path.empty();
+  const bool events = EventSink::enabled();
+  // The fingerprint hashes every axis value — only pay for it when a
+  // checkpoint or the sweep_start event needs it.
+  const std::string fingerprint =
+      checkpointing || events
+          ? sweep_fingerprint(grid, metric_names, options.config_hash)
+          : std::string();
+
+  // Row slots indexed by grid index; `done[g]` is the in-memory bitmap.
+  // A worker fills rows[g] completely, then release-stores done[g]; the
+  // flusher acquire-loads done[g] before reading rows[g], so a snapshot
+  // taken mid-sweep only ever contains fully-written rows.
+  std::vector<SweepRow> rows(grid_size);
+  std::vector<std::atomic<bool>> done(grid_size);
+  std::size_t resumed = 0;
+  Counter* m_flushes = nullptr;
+  if (checkpointing) {
+    m_flushes = &registry.counter("dse.sweep.checkpoint_flushes");
+    Counter& m_resumed = registry.counter("dse.sweep.resumed_points");
+    if (std::optional<SweepCheckpoint> ckpt = load_resume_checkpoint(
+            options.checkpoint_path, options.resume, grid_size, fingerprint,
+            options.shard)) {
+      for (SweepRow& row : ckpt->rows) {
+        const std::size_t g = row.grid_index;
+        rows[g] = std::move(row);
+        done[g].store(true, std::memory_order_relaxed);
+      }
+      resumed = ckpt->rows.size();
+      m_resumed.add(resumed);
+    }
+  }
+
   // Fault plans trip on ARRIVAL order at each site, which only the serial
   // loop reproduces — an armed injector pins the sweep to one thread.
   const int jobs = FaultInjector::instance().armed()
@@ -391,84 +376,166 @@ SweepResult run_sweep(
                        : parallel::resolve_jobs(options.jobs);
   registry.gauge("dse.sweep.jobs").set(static_cast<double>(jobs));
 
-  // The fingerprint hashes every axis value — only pay for it when the
-  // sweep_start event will actually be written.
-  if (EventSink::enabled()) {
-    EventSink::instance().emit_sweep_start(
-        sweep_fingerprint(grid, metric_names, options.config_hash), grid_size,
-        param_names, metric_names, grid_size, jobs);
+  if (events) {
+    EventSink& sink = EventSink::instance();
+    sink.emit_sweep_start(fingerprint, grid_size, param_names, metric_names,
+                          domain.size(), jobs);
+    if (options.shard.sharded()) {
+      sink.emit_shard_info(options.shard.index, options.shard.count,
+                           domain.size(),
+                           sentinel_indices(grid_size, options.shard));
+    }
   }
   std::optional<ProgressReporter> progress;
-  if (progress_enabled()) progress.emplace("sweep", grid_size);
+  if (progress_enabled()) progress.emplace("sweep", domain.size(), resumed);
 
-  // Pre-sized row slots indexed by grid index: assembly order (and thus
-  // the result) is bit-identical to the serial loop at any jobs count.
-  std::vector<SweepRow> rows(grid_size);
-  const auto evaluate_point = [&](std::size_t i) {
-    rows[i] =
-        evaluate_sweep_point(grid, i, metric_names, evaluate, options.policy);
+  // One work item per grid point still to do — or, with a point_key, per
+  // key class among them: its lowest-index point is evaluated and the
+  // aliases are filled in the SAME work item.  Grouping only the points
+  // still to do means a representative is always freshly evaluated, and
+  // rows are fully written before their done[] bit is release-stored, so a
+  // checkpoint snapshot stays consistent and an interrupt loses at most the
+  // in-flight items, which deterministically re-evaluate on resume.
+  // kFailFast is preserved: the first failing point's representative has
+  // the minimal index of its class and fails iff the point does, so
+  // parallel_for rethrows the exception a run without a key would.
+  std::vector<std::size_t> work;
+  work.reserve(domain.size() - resumed);
+  for (const std::size_t g : domain) {
+    if (done[g].load(std::memory_order_relaxed)) continue;
+    work.push_back(g);
+    // Row storage (params, the metrics slot) is allocated here, on the
+    // calling thread and in grid order; workers only fill it (failure
+    // records are the one row part they still allocate).  Rows
+    // allocated on whichever worker happened to take the item spread
+    // across the allocator's per-thread arenas differently on every run,
+    // and the peak RSS of a large sweep spread with them.
+    rows[g].grid_index = g;
+    rows[g].params = grid.point(g);
+    rows[g].metrics.reserve(metric_names.size());
+  }
+  // (work item, alias grid index), sorted.  One flat vector, not one per
+  // item: thousands of tiny per-item vectors measurably slowed the
+  // evaluator's own allocations on a 2880-point keyed sweep.
+  std::vector<std::pair<std::size_t, std::size_t>> aliases;
+  if (options.point_key != nullptr && !work.empty()) {
+    const std::size_t todo = work.size();
+    std::unordered_map<std::string, std::size_t> item_by_key;
+    item_by_key.reserve(todo);
+    std::vector<std::size_t> reps;  // ascending, as work is
+    for (const std::size_t g : work) {
+      const auto [it, inserted] = item_by_key.try_emplace(
+          options.point_key(rows[g].params), reps.size());
+      if (inserted) {
+        reps.push_back(g);
+      } else {
+        aliases.emplace_back(it->second, g);
+      }
+    }
+    std::sort(aliases.begin(), aliases.end());
+    work = std::move(reps);
+    registry.counter("dse.sweep.dedup_unique")
+        .add(static_cast<std::uint64_t>(work.size()));
+    registry.counter("dse.sweep.dedup_aliased")
+        .add(static_cast<std::uint64_t>(aliases.size()));
+  }
+
+  std::mutex flush_mutex;
+  std::atomic<std::size_t> completed{resumed};
+  const auto flush = [&] {  // caller holds flush_mutex
+    SweepCheckpoint snapshot;
+    snapshot.fingerprint = fingerprint;
+    snapshot.run_id = current_run_context().run_id;
+    snapshot.grid_size = grid_size;
+    snapshot.shard = options.shard;
+    snapshot.param_names = param_names;
+    snapshot.metric_names = metric_names;
+    snapshot.completed.assign(grid_size, false);
+    for (const std::size_t g : domain) {
+      if (!done[g].load(std::memory_order_acquire)) continue;
+      snapshot.completed[g] = true;
+      snapshot.rows.push_back(rows[g]);
+    }
+    // Durability order: the checkpoint_flush event syncs the sink BEFORE the
+    // checkpoint lands on disk, so every row in the saved checkpoint has its
+    // point_done event durable — resume never leaves a row without an event.
+    EventSink::instance().emit_checkpoint_flush(
+        snapshot.rows.size(), domain.size(), options.checkpoint_path);
+    save_checkpoint(snapshot, options.checkpoint_path);
+    m_flushes->add();
+  };
+  const auto finish_point = [&](std::size_t g) {
     if (progress.has_value()) {
-      rows[i].ok() ? progress->add_ok() : progress->add_failed();
+      rows[g].ok() ? progress->add_ok() : progress->add_failed();
+      progress->on_chunk_done(1);
+    }
+    done[g].store(true, std::memory_order_release);
+    const std::size_t now =
+        completed.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (checkpointing && (now - resumed) % options.checkpoint_interval == 0) {
+      const std::lock_guard<std::mutex> lock(flush_mutex);
+      flush();
     }
   };
-  parallel::ForOptions for_opts{.jobs = jobs};
-  if (progress.has_value()) {
-    for_opts.on_chunk_done = [&](std::size_t n) {
-      progress->on_chunk_done(n);
-    };
+  const auto body = [&](std::size_t k) {
+    if (interrupt_requested()) {
+      throw SweepInterrupted(completed.load(std::memory_order_relaxed),
+                             domain.size());
+    }
+    const std::size_t g = work[k];
+    sweep_point(rows[g], metric_names, evaluate, options.policy, nullptr);
+    finish_point(g);
+    for (auto it = std::lower_bound(aliases.begin(), aliases.end(),
+                                    std::make_pair(k, std::size_t{0}));
+         it != aliases.end() && it->first == k; ++it) {
+      const std::size_t a = it->second;
+      sweep_point(rows[a], metric_names, evaluate, options.policy, &rows[g]);
+      finish_point(a);
+    }
+  };
+
+  try {
+    parallel::parallel_for_indexed(work.size(), body, {.jobs = jobs});
+  } catch (...) {
+    // Keep whatever finished: an interrupt, a kFailFast failure, or a
+    // library bug all leave a resumable checkpoint behind.  A flush
+    // failure must not mask the original exception.
+    if (checkpointing) {
+      const std::lock_guard<std::mutex> lock(flush_mutex);
+      try {
+        flush();
+      } catch (...) {
+      }
+    }
+    throw;
   }
-  // Sweep-point deduplication: group grid indices by the caller's canonical
-  // evaluation key, evaluate only the lowest-index representative of each
-  // class, and fan its outcome out to the aliases.  Rows are bit-identical
-  // to the dense loop (aliases copy the representative's metrics/failure
-  // and keep their own params/grid_index); kFailFast is preserved because
-  // the first failing point's representative has the minimal index of its
-  // class and fails iff the point does, so parallel_for rethrows the same
-  // exception the dense loop would.
-  const bool dedup = options.point_key != nullptr && sweep_dedup_enabled();
-  if (dedup && grid_size > 0) {
-    std::vector<std::size_t> rep_of(grid_size);
-    std::vector<std::size_t> reps;  // ascending by construction
-    {
-      std::unordered_map<std::string, std::size_t> first_by_key;
-      first_by_key.reserve(grid_size);
-      for (std::size_t i = 0; i < grid_size; ++i) {
-        const auto [it, inserted] =
-            first_by_key.try_emplace(options.point_key(grid.point(i)), i);
-        rep_of[i] = it->second;
-        if (inserted) reps.push_back(i);
-      }
-    }
-    registry.counter("dse.sweep.dedup_unique")
-        .add(static_cast<std::uint64_t>(reps.size()));
-    registry.counter("dse.sweep.dedup_aliased")
-        .add(static_cast<std::uint64_t>(grid_size - reps.size()));
-    parallel::parallel_for_indexed(
-        reps.size(), [&](std::size_t j) { evaluate_point(reps[j]); },
-        for_opts);
-    for (std::size_t i = 0; i < grid_size; ++i) {
-      if (rep_of[i] == i) continue;
-      rows[i] = alias_sweep_point(grid, i, rows[rep_of[i]]);
-      if (progress.has_value()) {
-        rows[i].ok() ? progress->add_ok() : progress->add_failed();
-        progress->on_chunk_done(1);
-      }
-    }
-  } else {
-    parallel::parallel_for_indexed(grid_size, evaluate_point, for_opts);
+  if (checkpointing) {
+    const std::lock_guard<std::mutex> lock(flush_mutex);
+    flush();  // final, complete state (merge inputs must be complete)
   }
   if (timed) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       sweep_start)
             .count();
-    if (seconds > 0.0 && grid_size > 0) {
+    const std::size_t evaluated = domain.size() - resumed;
+    if (seconds > 0.0 && evaluated > 0) {
       registry.gauge("dse.sweep.points_per_sec")
-          .set(static_cast<double>(grid_size) / seconds);
+          .set(static_cast<double>(evaluated) / seconds);
     }
   }
+
+  // An unsharded domain is the whole grid in order: hand the slots over
+  // as they are instead of holding a second row array at the peak.
+  std::vector<SweepRow> out;
+  if (domain.size() == grid_size) {
+    out = std::move(rows);
+  } else {
+    out.reserve(domain.size());
+    for (const std::size_t g : domain) out.push_back(std::move(rows[g]));
+  }
   return SweepResult(std::move(param_names),
-                     std::vector<std::string>(metric_names), std::move(rows));
+                     std::vector<std::string>(metric_names), std::move(out));
 }
 
 }  // namespace uld3d::dse

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -63,6 +64,16 @@ Config Config::parse(const std::string& text) {
 }
 
 Config Config::load(const std::string& path) {
+  // A directory opens as an empty stream and /dev/null reads as an empty
+  // file: both would silently run on defaults, so only regular files load.
+  std::error_code ec;
+  const auto status = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status)) {
+    throw StatusError(Failure(ErrorCode::kInvalidConfig,
+                              "config path is not a regular file")
+                          .with("path", path));
+  }
   std::ifstream file(path);
   expects(file.good(), "cannot open config file: " + path);
   std::stringstream buffer;

@@ -15,7 +15,8 @@ class Config {
  public:
   /// Parse INI text; throws PreconditionError on malformed lines.
   [[nodiscard]] static Config parse(const std::string& text);
-  /// Parse a file on disk; throws if unreadable.
+  /// Parse a file on disk; throws PreconditionError if unreadable and
+  /// StatusError(kInvalidConfig) if the path is not a regular file.
   [[nodiscard]] static Config load(const std::string& path);
 
   /// True if `[section]` contains `key`.

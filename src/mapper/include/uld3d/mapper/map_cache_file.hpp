@@ -54,7 +54,8 @@ inline constexpr int kMapCacheFileSchemaVersion = 1;
 /// Load `path` into MapCache::instance() (entries marked file-origin).
 /// Returns the number of records loaded; 0 for a missing file (cold start).
 /// Throws StatusError(kInvalidConfig) on a truncated, tampered, or
-/// wrong-schema file.  Counts "mapper.mapcache.file_loads".
+/// wrong-schema file, and on a path that exists but is not a regular file.
+/// Counts "mapper.mapcache.file_loads".
 std::size_t load_map_cache_file(const std::string& path);
 
 /// Merge the current MapCache contents with the records already in `path`

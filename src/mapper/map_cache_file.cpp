@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -259,8 +260,16 @@ Entries parse(const std::string& data, const std::string& path) {
 }
 
 /// Whole-file read (one sized read, not a stream copy); nullopt when the
-/// file does not exist or cannot be read.
+/// file does not exist or cannot be read.  A path that exists but is not a
+/// regular file (a directory, a device) is refused: sizing it by seeking
+/// to the end is meaningless.
 std::optional<std::string> read_file(const std::string& path) {
+  std::error_code ec;
+  const auto status = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status)) {
+    refuse("map-cache path is not a regular file", path);
+  }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
   const std::streamsize size = in.tellg();

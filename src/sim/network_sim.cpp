@@ -4,10 +4,8 @@
 #include <array>
 #include <cmath>
 
-#include "uld3d/sim/energy_batch.hpp"
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/fault.hpp"
-#include "uld3d/util/simd.hpp"
 #include "uld3d/util/metrics.hpp"
 #include "uld3d/util/parallel.hpp"
 #include "uld3d/util/status.hpp"
@@ -27,48 +25,11 @@ NetworkResult simulate_network(const nn::Network& net,
   NetworkResult result;
   result.network = net.name();
   result.layers.reserve(net.size());
-  // Batched energy finishing (SoA pass over all layers at once) unless the
-  // ULD3D_NO_SIMD escape hatch asked for the seed per-layer path, or a fault
-  // injector is armed (the seed path prices each layer before the next
-  // layer's fault site, and injection tests rely on that interleaving).
-  const bool batched =
-      !simd::disabled_by_env() && !FaultInjector::instance().armed();
-  thread_local EnergyBatch batch;
-  thread_local std::vector<LayerTerms> terms;
-  if (batched) terms.clear();
   for (const auto& layer : net.layers()) {
     TraceSpan layer_span(layer.name(), "sim");
     m_layers.add();
     fault_site("sim.network.layer");
-    if (batched) {
-      LayerTerms t;
-      result.layers.push_back(simulate_layer_terms(layer, cfg, t));
-      terms.push_back(t);
-    } else {
-      result.layers.push_back(simulate_layer(layer, cfg));
-    }
-  }
-  if (batched) {
-    const std::size_t n = result.layers.size();
-    batch.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const LayerResult& r = result.layers[i];
-      batch.read_bits[i] = terms[i].read_bits;
-      batch.write_bits[i] = terms[i].write_bits;
-      batch.compute_energy[i] = terms[i].compute_energy_pj;
-      batch.cycles[i] = static_cast<double>(r.cycles);
-      batch.nm[i] = static_cast<double>(r.cs_used);
-      batch.memory_cycles[i] = r.memory_cycles;
-      batch.compute_cycles[i] = r.compute_cycles;
-    }
-    finish_energy_batch(cfg, batch, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      LayerResult& r = result.layers[i];
-      r.compute_energy_pj = batch.compute_energy[i];
-      r.memory_energy_pj = batch.memory_energy[i];
-      r.idle_energy_pj = batch.idle_energy[i];
-      r.energy_pj = batch.energy[i];
-    }
+    result.layers.push_back(simulate_layer(layer, cfg));
   }
   // Validation and totals stay serial and in layer order: the strict checks
   // fire on the first bad layer exactly as the seed loop did, and no

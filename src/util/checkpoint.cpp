@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -15,14 +16,18 @@ namespace uld3d {
 
 namespace {
 
-// Only async-signal-safe operations are allowed in a handler; a volatile
-// sig_atomic_t store is the canonical one.
-volatile std::sig_atomic_t g_interrupt_requested = 0;
-volatile std::sig_atomic_t g_interrupt_signal = 0;
+// Only async-signal-safe operations are allowed in a handler; a store to a
+// lock-free atomic is one, and unlike a volatile sig_atomic_t it is also
+// well-defined when sweep workers on other threads poll the latch.
+std::atomic<bool> g_interrupt_requested{false};
+std::atomic<int> g_interrupt_signal{0};
+static_assert(std::atomic<bool>::is_always_lock_free &&
+                  std::atomic<int>::is_always_lock_free,
+              "the interrupt latch must be usable from a signal handler");
 
 extern "C" void interrupt_handler(int signal_number) {
-  g_interrupt_requested = 1;
-  g_interrupt_signal = signal_number;
+  g_interrupt_requested.store(true, std::memory_order_relaxed);
+  g_interrupt_signal.store(signal_number, std::memory_order_relaxed);
 }
 
 /// Flush OS buffers to stable storage so the subsequent rename publishes a
@@ -80,13 +85,17 @@ void install_interrupt_handlers() {
   std::signal(SIGTERM, interrupt_handler);
 }
 
-bool interrupt_requested() { return g_interrupt_requested != 0; }
+bool interrupt_requested() {
+  return g_interrupt_requested.load(std::memory_order_relaxed);
+}
 
-int interrupt_signal() { return static_cast<int>(g_interrupt_signal); }
+int interrupt_signal() {
+  return g_interrupt_signal.load(std::memory_order_relaxed);
+}
 
 void set_interrupt_requested(bool requested) {
-  g_interrupt_requested = requested ? 1 : 0;
-  if (!requested) g_interrupt_signal = 0;
+  g_interrupt_requested.store(requested, std::memory_order_relaxed);
+  if (!requested) g_interrupt_signal.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace uld3d

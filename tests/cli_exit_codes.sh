@@ -33,6 +33,11 @@ check 2 "$cli" arch --network alexnet   # arch without --config
 # 3: config errors
 check 3 "$cli" compare --config "$tmpdir/does_not_exist.ini"
 
+# a path that is not a regular file must not silently run on defaults
+mkdir "$tmpdir/config_dir"
+check 3 "$cli" compare --config "$tmpdir/config_dir"
+check 3 "$cli" compare --config /dev/null
+
 printf '[study]\ncapacity_mb = -4\n' > "$tmpdir/bad_range.ini"
 check 3 "$cli" compare --config "$tmpdir/bad_range.ini"
 

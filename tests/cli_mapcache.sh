@@ -5,11 +5,12 @@
 #     on stdout, and the second (warm) run's metrics show nonzero
 #     mapper.mapcache.file_hits and file_loads with zero file_appends.
 #  2. ULD3D_MAPCACHE_FILE mirrors the flag.
-#  3. A corrupted cache file is refused with exit 3 (config error) before
-#     any work runs; ULD3D_NO_MAPCACHE_FILE bypasses the file layer and the
-#     same run exits 0.
-#  4. ULD3D_NO_SWEEP_DEDUP leaves the sweep output byte-identical (dedup is
-#     a pure evaluation-count optimization).
+#  3. A corrupted cache file, and a path that is not a regular file (a
+#     directory), are refused with exit 3 (config error) before any work
+#     runs; ULD3D_NO_MAPCACHE_FILE bypasses the file layer and the same run
+#     exits 0.
+#  4. One sweep runner: the same sweep with --checkpoint (flushed after
+#     every point) prints byte-identical stdout to the plain run.
 #
 # Usage: cli_mapcache.sh /path/to/uld3d_cli
 set -u
@@ -90,20 +91,30 @@ head -c 40 "$store" > "$tmpdir/trunc.bin"
   > /dev/null 2>&1
 [ $? -eq 3 ] || fail "truncated cache file should exit 3"
 
-# --- 4. dedup lever never changes output ------------------------------------
-env ULD3D_NO_SWEEP_DEDUP=1 "$cli" sweep --mapper --keep-going --jobs 4 \
-  --mapcache-file "$store" > "$tmpdir/nodedup.out" 2> /dev/null \
-  || fail "sweep under ULD3D_NO_SWEEP_DEDUP exited non-zero"
-cmp -s "$tmpdir/cold.out" "$tmpdir/nodedup.out" \
-  || fail "ULD3D_NO_SWEEP_DEDUP changed the sweep output"
+# A directory is not a store: refused, not a bad_alloc or a cold start.
+mkdir "$tmpdir/store_dir"
+"$cli" sweep --mapper --keep-going --mapcache-file "$tmpdir/store_dir" \
+  > /dev/null 2> "$tmpdir/dir.err"
+[ $? -eq 3 ] || fail "a directory as cache file should exit 3"
+grep -q "not a regular file" "$tmpdir/dir.err" \
+  || fail "directory refusal does not say the path is not a regular file"
 
-# The analytic (default) sweep also accepts the flags and stays stable.
+# --- 4. checkpointing is a policy of the one runner, not a second path -----
+"$cli" sweep --mapper --keep-going --jobs 4 --mapcache-file "$store" \
+  --checkpoint "$tmpdir/ckpt.json" --checkpoint-interval 1 \
+  > "$tmpdir/ckpt.out" 2> /dev/null \
+  || fail "checkpointed mapper sweep exited non-zero"
+cmp -s "$tmpdir/cold.out" "$tmpdir/ckpt.out" \
+  || fail "checkpointed mapper sweep stdout differs from the plain run"
+
+# The analytic (default) sweep too; its metrics export the dedup counters.
 "$cli" sweep --keep-going --metrics "$tmpdir/analytic.json" \
   > "$tmpdir/analytic1.out" 2> /dev/null || fail "analytic sweep failed"
-env ULD3D_NO_SWEEP_DEDUP=1 "$cli" sweep --keep-going \
-  > "$tmpdir/analytic2.out" 2> /dev/null || fail "analytic sweep (no dedup) failed"
+"$cli" sweep --keep-going --checkpoint "$tmpdir/analytic_ckpt.json" \
+  --checkpoint-interval 1 > "$tmpdir/analytic2.out" 2> /dev/null \
+  || fail "checkpointed analytic sweep failed"
 cmp -s "$tmpdir/analytic1.out" "$tmpdir/analytic2.out" \
-  || fail "ULD3D_NO_SWEEP_DEDUP changed the analytic sweep output"
+  || fail "checkpointed analytic sweep stdout differs from the plain run"
 metric_nonzero "$tmpdir/analytic.json" dse.sweep.dedup_unique \
   || fail "analytic sweep exports no dedup_unique counter"
 

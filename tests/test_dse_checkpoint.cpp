@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -293,20 +294,84 @@ TEST(CheckpointRefusalTest, FutureSchemaVersionIsRefused) {
 }
 
 TEST(ResumableSweepTest, MatchesPlainSweepWithoutInterruption) {
-  const Grid grid = small_grid();
-  const SweepResult plain = run_sweep(grid, metrics2(), eval_point,
-                                      {ErrorPolicy::kSkipAndRecord, 1});
-  const std::string path = temp_path("ckpt_plain_equiv.json");
-  std::remove(path.c_str());
-  ResumableOptions options;
-  options.jobs = 1;
-  options.checkpoint_path = path;
-  const SweepResult resumable =
-      run_sweep_resumable(grid, metrics2(), eval_point, options);
-  expect_rows_identical(resumable.rows(), plain.rows());
-  EXPECT_EQ(resumable.failure_summary(), plain.failure_summary());
-  EXPECT_EQ(resumable.to_table().to_csv(), plain.to_table().to_csv());
-  std::remove(path.c_str());
+  // One runner, three policies — plain, checkpoint + interrupt + resume,
+  // and shards 0/2 + 1/2 merged — each with and without a point_key, at
+  // jobs 1 and 8: all must reproduce the reference rows, failure summary
+  // and table byte for byte.  The `budget` axis is evaluator-blind, so the
+  // keyed runs alias every point onto a representative.
+  Grid grid = small_grid();
+  grid.axis("budget", {10.0, 20.0});  // 24 points, 12 key classes
+  const SweepResult reference = run_sweep(grid, metrics2(), eval_point,
+                                          {ErrorPolicy::kSkipAndRecord, 1});
+  ASSERT_GT(reference.failed_count(), 0u);
+  const auto expect_reference = [&](const SweepResult& got) {
+    expect_rows_identical(got.rows(), reference.rows());
+    EXPECT_EQ(got.failure_summary(), reference.failure_summary());
+    EXPECT_EQ(got.to_table().to_csv(), reference.to_table().to_csv());
+    EXPECT_EQ(got.to_table(4).to_string(), reference.to_table(4).to_string());
+  };
+  const auto key_xy = [](const std::vector<double>& p) {
+    char buffer[80];
+    std::snprintf(buffer, sizeof buffer, "%.17g,%.17g", p[0], p[1]);
+    return std::string(buffer);
+  };
+
+  for (const bool keyed : {false, true}) {
+    for (const int jobs : {1, 8}) {
+      const std::string tag =
+          std::string(keyed ? "keyed" : "unkeyed") + "_" + std::to_string(jobs);
+      SweepOptions base;
+      base.jobs = jobs;
+      if (keyed) base.point_key = key_xy;
+
+      SCOPED_TRACE(tag + " plain");
+      expect_reference(run_sweep(grid, metrics2(), eval_point, base));
+
+      // Checkpoint, interrupt after 5 evaluations, resume.  At jobs=8 the
+      // in-flight points may finish the grid before the latch is seen, so
+      // only the serial run is required to stop early.
+      SCOPED_TRACE(tag + " checkpoint + interrupt + resume");
+      const std::string path = temp_path("ckpt_policy_" + tag + ".json");
+      std::remove(path.c_str());
+      SweepOptions checkpointed = base;
+      checkpointed.checkpoint_path = path;
+      checkpointed.checkpoint_interval = 2;
+      std::atomic<int> evaluated{0};
+      const auto interrupting_eval = [&](const std::vector<double>& p) {
+        if (evaluated.fetch_add(1) + 1 == 5) set_interrupt_requested(true);
+        return eval_point(p);
+      };
+      set_interrupt_requested(false);
+      bool interrupted = false;
+      try {
+        (void)run_sweep(grid, metrics2(), interrupting_eval, checkpointed);
+      } catch (const SweepInterrupted&) {
+        interrupted = true;
+      }
+      set_interrupt_requested(false);
+      if (jobs == 1) {
+        EXPECT_TRUE(interrupted);
+      }
+      checkpointed.resume = true;
+      expect_reference(run_sweep(grid, metrics2(), eval_point, checkpointed));
+      std::remove(path.c_str());
+
+      SCOPED_TRACE(tag + " shard 0/2 + 1/2 -> merge");
+      std::vector<std::string> paths;
+      for (std::size_t s = 0; s < 2; ++s) {
+        paths.push_back(temp_path("ckpt_policy_" + tag + "_" +
+                                  std::to_string(s) + ".json"));
+        std::remove(paths.back().c_str());
+        SweepOptions sharded = base;
+        sharded.shard = ShardSpec{s, 2};
+        sharded.checkpoint_path = paths.back();
+        sharded.config_hash = "cfg";
+        (void)run_sweep(grid, metrics2(), eval_point, sharded);
+      }
+      expect_reference(merge_shards(grid, metrics2(), "cfg", paths));
+      for (const std::string& p : paths) std::remove(p.c_str());
+    }
+  }
 }
 
 TEST(ResumableSweepTest, InterruptThenResumeIsByteIdentical) {
@@ -324,12 +389,11 @@ TEST(ResumableSweepTest, InterruptThenResumeIsByteIdentical) {
     if (++evaluated == 5) set_interrupt_requested(true);
     return eval_point(p);
   };
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
   options.checkpoint_interval = 2;
-  EXPECT_THROW((void)run_sweep_resumable(grid, metrics2(), interrupting_eval,
-                                         options),
+  EXPECT_THROW((void)run_sweep(grid, metrics2(), interrupting_eval, options),
                SweepInterrupted);
   set_interrupt_requested(false);
 
@@ -348,7 +412,7 @@ TEST(ResumableSweepTest, InterruptThenResumeIsByteIdentical) {
     return eval_point(p);
   };
   const SweepResult resumed =
-      run_sweep_resumable(grid, metrics2(), counting_eval, options);
+      run_sweep(grid, metrics2(), counting_eval, options);
   EXPECT_EQ(resumed_evals, static_cast<int>(grid.size()) - 5);
   expect_rows_identical(resumed.rows(), plain.rows());
   EXPECT_EQ(resumed.failure_summary(), plain.failure_summary());
@@ -377,11 +441,10 @@ TEST(ResumableSweepTest, RecordedFailuresSurviveTheResumeBoundary) {
     if (++evaluated == first_failing + 1) set_interrupt_requested(true);
     return eval_point(p);
   };
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
-  EXPECT_THROW((void)run_sweep_resumable(grid, metrics2(), interrupting_eval,
-                                         options),
+  EXPECT_THROW((void)run_sweep(grid, metrics2(), interrupting_eval, options),
                SweepInterrupted);
   set_interrupt_requested(false);
 
@@ -393,7 +456,7 @@ TEST(ResumableSweepTest, RecordedFailuresSurviveTheResumeBoundary) {
     return std::vector<double>{-1.0, -1.0};
   };
   const SweepResult resumed =
-      run_sweep_resumable(grid, metrics2(), must_not_reevaluate, options);
+      run_sweep(grid, metrics2(), must_not_reevaluate, options);
   // The recorded failure at point 8 came back from the file...
   ASSERT_EQ(resumed.failed_count(), 1u);
   EXPECT_FALSE(resumed.rows()[first_failing].ok());
@@ -416,12 +479,12 @@ TEST(ResumableSweepTest, RecordedFailuresSurviveTheResumeBoundary) {
 TEST(ResumableSweepTest, RefusesToOverwriteWithoutResume) {
   const Grid grid = small_grid();
   const std::string path = temp_path("ckpt_no_clobber.json");
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
-  (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+  (void)run_sweep(grid, metrics2(), eval_point, options);
   try {
-    (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+    (void)run_sweep(grid, metrics2(), eval_point, options);
     FAIL() << "expected StatusError";
   } catch (const StatusError& error) {
     EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
@@ -433,14 +496,13 @@ TEST(ResumableSweepTest, ResumingACompleteSweepReEvaluatesNothing) {
   const Grid grid = small_grid();
   const std::string path = temp_path("ckpt_complete.json");
   std::remove(path.c_str());
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
-  const SweepResult first =
-      run_sweep_resumable(grid, metrics2(), eval_point, options);
+  const SweepResult first = run_sweep(grid, metrics2(), eval_point, options);
   options.resume = true;
   bool evaluated = false;
-  const SweepResult second = run_sweep_resumable(
+  const SweepResult second = run_sweep(
       grid, metrics2(),
       [&](const std::vector<double>& p) {
         evaluated = true;
@@ -464,12 +526,12 @@ TEST(ShardMergeTest, ShardsMergeToTheUnshardedResultAtAnyJobs) {
           "ckpt_shard_" + std::to_string(jobs) + "_" + std::to_string(s) +
           ".json");
       std::remove(path.c_str());
-      ResumableOptions options;
+      SweepOptions options;
       options.jobs = jobs;
       options.shard = ShardSpec{s, count};
       options.checkpoint_path = path;
       options.config_hash = "cfg";
-      (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+      (void)run_sweep(grid, metrics2(), eval_point, options);
       paths.push_back(path);
     }
     // Merge accepts the files in any order.
@@ -491,11 +553,11 @@ TEST(ShardMergeTest, TamperedSentinelIsDetected) {
     const std::string path =
         temp_path("ckpt_sentinel_" + std::to_string(s) + ".json");
     std::remove(path.c_str());
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = 1;
     options.shard = ShardSpec{s, count};
     options.checkpoint_path = path;
-    (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+    (void)run_sweep(grid, metrics2(), eval_point, options);
     paths.push_back(path);
   }
   // Flip one bit of a sentinel metric in shard 1 — as if that machine ran a
@@ -529,11 +591,11 @@ TEST(ShardMergeTest, MissingAndIncompleteShardsAreRefused) {
     const std::string path =
         temp_path("ckpt_missing_" + std::to_string(s) + ".json");
     std::remove(path.c_str());
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = 1;
     options.shard = ShardSpec{s, 4};  // produced as 4-way shards...
     options.checkpoint_path = path;
-    (void)run_sweep_resumable(grid, metrics2(), eval_point, options);
+    (void)run_sweep(grid, metrics2(), eval_point, options);
     paths.push_back(path);
   }
   // ...but only 2 files offered: the shard set {0..3} is incomplete.

@@ -1,9 +1,9 @@
 // dse sweep-point deduplication: the cross-point computation-reuse layer.
 //
 // The load-bearing guarantee is BYTE-identity: with a point_key that covers
-// every input the evaluator reads, a dedup-on sweep's rows — metrics,
-// params, grid_index, failures — are bit-identical to a dedup-off sweep's
-// at any jobs count, on both the plain and the checkpoint/resume runner,
+// every input the evaluator reads, a keyed sweep's rows — metrics, params,
+// grid_index, failures — are bit-identical to an unkeyed sweep's
+// (point_key = nullptr) at any jobs count, with or without checkpointing,
 // across any interrupt schedule.  Dedup may only change HOW OFTEN the
 // evaluator runs (dse.sweep.dedup_unique evaluations instead of grid-size),
 // never what any row holds.
@@ -103,13 +103,10 @@ void expect_rows_identical(const std::vector<SweepRow>& a,
   }
 }
 
-/// Restores the global dedup lever (tests flip it for A/B runs).
+/// Clears the interrupt latch the resume tests raise.
 class SweepDedupTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_sweep_dedup_enabled(true);
-    set_interrupt_requested(false);
-  }
+  void TearDown() override { set_interrupt_requested(false); }
 };
 
 TEST_F(SweepDedupTest, RowsBitIdenticalDedupOnVsOffAcrossJobsCounts) {
@@ -121,18 +118,17 @@ TEST_F(SweepDedupTest, RowsBitIdenticalDedupOnVsOffAcrossJobsCounts) {
     SweepOptions on;
     on.jobs = jobs;
     on.point_key = key_xy;
-    set_sweep_dedup_enabled(true);
     const SweepResult with_dedup = run_sweep(
         grid, metrics2(),
         [&](const std::vector<double>& p) { return eval_xy(p, calls_on); },
         on);
 
-    set_sweep_dedup_enabled(false);  // same options object: the LEVER wins
+    SweepOptions off = on;
+    off.point_key = nullptr;
     const SweepResult without_dedup = run_sweep(
         grid, metrics2(),
         [&](const std::vector<double>& p) { return eval_xy(p, calls_off); },
-        on);
-    set_sweep_dedup_enabled(true);
+        off);
 
     expect_rows_identical(with_dedup.rows(), without_dedup.rows());
     EXPECT_EQ(with_dedup.failure_summary(), without_dedup.failure_summary());
@@ -171,18 +167,15 @@ TEST_F(SweepDedupTest, FailFastThrowsTheSameFirstFailureDedupOnOrOff) {
     return eval_xy(p, calls);
   };
   const auto first_failure = [&](bool dedup) {
-    set_sweep_dedup_enabled(dedup);
     SweepOptions options;
     options.policy = ErrorPolicy::kFailFast;
     options.jobs = 1;
-    options.point_key = key_xy;
+    if (dedup) options.point_key = key_xy;
     try {
       (void)run_sweep(grid, metrics2(), evaluate, options);
     } catch (const StatusError& error) {
-      set_sweep_dedup_enabled(true);
       return std::string(error.what());
     }
-    set_sweep_dedup_enabled(true);
     return std::string("(no failure)");
   };
   const std::string with_dedup = first_failure(true);
@@ -191,20 +184,13 @@ TEST_F(SweepDedupTest, FailFastThrowsTheSameFirstFailureDedupOnOrOff) {
   EXPECT_EQ(with_dedup, without_dedup);
 }
 
-TEST_F(SweepDedupTest, NullPointKeyAndDisabledLeverEvaluateEveryPoint) {
+TEST_F(SweepDedupTest, NullPointKeyEvaluatesEveryPoint) {
   const Grid grid = blind_axis_grid();
   std::atomic<int> calls{0};
   const auto evaluate = [&](const std::vector<double>& p) {
     return eval_xy(p, calls);
   };
   (void)run_sweep(grid, metrics2(), evaluate, {});  // no point_key
-  EXPECT_EQ(calls.load(), 24);
-
-  calls.store(0);
-  SweepOptions keyed;
-  keyed.point_key = key_xy;
-  set_sweep_dedup_enabled(false);
-  (void)run_sweep(grid, metrics2(), evaluate, keyed);
   EXPECT_EQ(calls.load(), 24);
 }
 
@@ -214,20 +200,24 @@ TEST_F(SweepDedupTest, ResumableDedupMatchesPlainSweepAcrossJobsCounts) {
   const auto evaluate = [&](const std::vector<double>& p) {
     return eval_xy(p, calls);
   };
-  set_sweep_dedup_enabled(false);
   const SweepResult reference = run_sweep(grid, metrics2(), evaluate, {});
-  set_sweep_dedup_enabled(true);
 
   for (const int jobs : {1, 8}) {
     calls.store(0);
-    ResumableOptions options;
+    const std::string path =
+        temp_path("dedup_checkpointed_" + std::to_string(jobs) + ".json");
+    std::remove(path.c_str());
+    SweepOptions options;
     options.jobs = jobs;
-    options.point_key = key_xy;  // no checkpoint_path: dedup + sharding core
+    options.point_key = key_xy;
+    options.checkpoint_path = path;
+    options.checkpoint_interval = 1;  // snapshot after every point
     const SweepResult resumable =
-        run_sweep_resumable(grid, metrics2(), evaluate, options);
+        run_sweep(grid, metrics2(), evaluate, options);
     expect_rows_identical(resumable.rows(), reference.rows());
     EXPECT_EQ(resumable.failure_summary(), reference.failure_summary());
     EXPECT_EQ(calls.load(), 12) << "jobs " << jobs;
+    std::remove(path.c_str());
   }
 }
 
@@ -237,11 +227,9 @@ TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
   std::remove(path.c_str());
 
   std::atomic<int> calls{0};
-  set_sweep_dedup_enabled(false);
   const SweepResult reference = run_sweep(
       grid, metrics2(),
       [&](const std::vector<double>& p) { return eval_xy(p, calls); }, {});
-  set_sweep_dedup_enabled(true);
 
   // First run: trip the interrupt latch after 4 evaluations.  jobs=1 so the
   // trip point is deterministic.
@@ -251,21 +239,20 @@ TEST_F(SweepDedupTest, InterruptAndResumeWithDedupStaysBitIdentical) {
     if (++evaluated == 4) set_interrupt_requested(true);
     return eval_xy(p, calls);
   };
-  ResumableOptions options;
+  SweepOptions options;
   options.jobs = 1;
   options.checkpoint_path = path;
   options.checkpoint_interval = 2;
   options.point_key = key_xy;
-  EXPECT_THROW(
-      (void)run_sweep_resumable(grid, metrics2(), interrupting_eval, options),
-      SweepInterrupted);
+  EXPECT_THROW((void)run_sweep(grid, metrics2(), interrupting_eval, options),
+               SweepInterrupted);
   set_interrupt_requested(false);
 
   // Resume: only the remaining key classes evaluate; aliased rows were
   // either checkpointed with their representative or are refilled now.
   calls.store(0);
   options.resume = true;
-  const SweepResult resumed = run_sweep_resumable(
+  const SweepResult resumed = run_sweep(
       grid, metrics2(),
       [&](const std::vector<double>& p) { return eval_xy(p, calls); },
       options);
@@ -282,9 +269,7 @@ TEST_F(SweepDedupTest, ShardedDedupMergesIntoTheReferenceResult) {
   const auto evaluate = [&](const std::vector<double>& p) {
     return eval_xy(p, calls);
   };
-  set_sweep_dedup_enabled(false);
   const SweepResult reference = run_sweep(grid, metrics2(), evaluate, {});
-  set_sweep_dedup_enabled(true);
 
   const std::size_t shard_count = 3;
   std::vector<std::string> paths;
@@ -292,12 +277,12 @@ TEST_F(SweepDedupTest, ShardedDedupMergesIntoTheReferenceResult) {
     const std::string path =
         temp_path("dedup_shard_" + std::to_string(s) + ".json");
     std::remove(path.c_str());
-    ResumableOptions options;
+    SweepOptions options;
     options.jobs = 1;
     options.shard = ShardSpec{s, shard_count};
     options.checkpoint_path = path;
     options.point_key = key_xy;  // dedup within each shard's domain
-    (void)run_sweep_resumable(grid, metrics2(), evaluate, options);
+    (void)run_sweep(grid, metrics2(), evaluate, options);
     paths.push_back(path);
   }
   const SweepResult merged = merge_shards(grid, metrics2(), "", paths);
@@ -306,7 +291,7 @@ TEST_F(SweepDedupTest, ShardedDedupMergesIntoTheReferenceResult) {
 }
 
 // The full reuse stack, crossed: sweep rows through a REAL mapper search
-// must be bit-identical across {dedup on/off} x {cold/warm map-cache file}
+// must be bit-identical across {point_key on/off} x {cold/warm map-cache file}
 // x {jobs 1/8}, on randomized layer shapes.  (Interrupt+resume interplay
 // has its own test above; refusal coverage lives in
 // test_mapper_map_cache_file.)
@@ -342,31 +327,30 @@ TEST_F(SweepDedupTest, RandomizedMapperSweepIdenticalAcrossReuseConfigs) {
     return std::vector<double>{r.cost.latency_cycles * r.cost.energy_pj,
                                r.improvement()};
   };
-  SweepOptions options;
-  options.point_key = [](const std::vector<double>& p) {
+  const auto point_key = [](const std::vector<double>& p) {
     char buffer[80];
     std::snprintf(buffer, sizeof buffer, "%.17g,%.17g", p[0], p[1]);
     return std::string(buffer);
   };
 
-  // Reference: dedup off, cold in-memory cache, serial, no store.
+  // Reference: no point_key, cold in-memory cache, serial, no store.
   const std::string store = temp_path("dedup_reuse_cross.bin");
   std::remove(store.c_str());
-  set_sweep_dedup_enabled(false);
   cache.clear();
   const SweepResult reference =
-      run_sweep(grid, metrics2(), evaluate, options);
+      run_sweep(grid, metrics2(), evaluate, {ErrorPolicy::kSkipAndRecord, 1});
   ASSERT_GT(mapper::save_map_cache_file(store), 0u);
 
   for (const bool dedup : {false, true}) {
     for (const bool warm : {false, true}) {
       for (const int jobs : {1, 8}) {
-        set_sweep_dedup_enabled(dedup);
         cache.clear();
         if (warm) {
           ASSERT_GT(mapper::load_map_cache_file(store), 0u);
         }
+        SweepOptions options;
         options.jobs = jobs;
+        if (dedup) options.point_key = point_key;
         const SweepResult got =
             run_sweep(grid, metrics2(), evaluate, options);
         SCOPED_TRACE("dedup=" + std::to_string(dedup) +

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "uld3d/util/check.hpp"
+#include "uld3d/util/status.hpp"
 
 namespace uld3d::io {
 namespace {
@@ -79,6 +80,20 @@ TEST(Config, RoundTripsThroughText) {
 
 TEST(Config, LoadMissingFileThrows) {
   EXPECT_THROW(Config::load("/nonexistent/file.ini"), PreconditionError);
+}
+
+TEST(Config, LoadRefusesPathsThatAreNotRegularFiles) {
+  // A directory and /dev/null both used to load as an empty config and run
+  // silently on defaults.
+  for (const std::string& path :
+       {testing::TempDir(), std::string("/dev/null")}) {
+    try {
+      (void)Config::load(path);
+      ADD_FAILURE() << "expected a refusal for " << path;
+    } catch (const StatusError& error) {
+      EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig) << path;
+    }
+  }
 }
 
 }  // namespace

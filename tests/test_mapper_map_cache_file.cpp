@@ -8,8 +8,9 @@
 //  * append-only merge: saving into a file that already holds another
 //    process's entries unions them, losing neither side;
 //  * refusal matrix: truncated, tampered (checksum), wrong-magic,
-//    wrong-schema, and wrong-key-width files all throw
-//    StatusError(kInvalidConfig); a MISSING file is a normal cold start.
+//    wrong-schema, and wrong-key-width files, and a path that is not a
+//    regular file (a directory), all throw StatusError(kInvalidConfig); a
+//    MISSING file is a normal cold start.
 #include "uld3d/mapper/map_cache_file.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -262,6 +264,22 @@ TEST_F(MapCacheFileTest, RefusesWrongMagic) {
   write_bytes(path, "this is not a map-cache store at all");
   EXPECT_THROW(load_map_cache_file(path), StatusError);
   std::remove(path.c_str());
+}
+
+TEST_F(MapCacheFileTest, RefusesADirectory) {
+  // Sizing a directory by seeking to its end used to yield a huge length
+  // and a bad_alloc; an existing non-regular path is bad input instead.
+  const std::string path = temp_path("mcf_directory");
+  std::filesystem::create_directories(path);
+  try {
+    (void)load_map_cache_file(path);
+    FAIL() << "a directory must be refused";
+  } catch (const StatusError& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kInvalidConfig);
+    EXPECT_NE(std::string(error.what()).find("not a regular file"),
+              std::string::npos);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST_F(MapCacheFileTest, RefusesWrongSchemaVersion) {

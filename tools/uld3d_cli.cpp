@@ -564,36 +564,23 @@ int run_sweep(const CliArgs& args) {
     return key;
   };
 
-  const dse::ErrorPolicy policy = args.keep_going
-                                      ? dse::ErrorPolicy::kSkipAndRecord
-                                      : dse::ErrorPolicy::kFailFast;
-  if (args.checkpoint_path.empty() && !args.shard.sharded()) {
-    // Plain one-shot sweep: the pre-checkpoint path, byte-identical output.
-    // The config hash feeds the sweep_start event fingerprint, which then
-    // matches the checkpoint path's for the same study (uld3d-report
-    // --canon relies on that to compare the two).
-    dse::SweepOptions sweep_options;
-    sweep_options.policy = policy;
-    sweep_options.config_hash = sweep_config_hash(args);
-    sweep_options.point_key = point_key;
-    const dse::SweepResult result =
-        dse::run_sweep(grid, sweep_metric_names(), evaluate, sweep_options);
-    return print_sweep_result(result, args, net.name());
-  }
-
-  dse::ResumableOptions options;
-  options.policy = policy;
+  dse::SweepOptions options;
+  options.policy = args.keep_going ? dse::ErrorPolicy::kSkipAndRecord
+                                   : dse::ErrorPolicy::kFailFast;
+  options.config_hash = sweep_config_hash(args);
+  options.point_key = point_key;
   options.shard = args.shard;
   options.checkpoint_path = args.checkpoint_path;
   options.resume = args.resume;
   options.checkpoint_interval = args.checkpoint_interval;
-  options.config_hash = sweep_config_hash(args);
-  options.point_key = point_key;
-  install_interrupt_handlers();
+  // Only a checkpointed or sharded sweep turns SIGINT/SIGTERM into a
+  // resumable stop; a plain sweep keeps the default die-on-signal.
+  if (!args.checkpoint_path.empty() || args.shard.sharded()) {
+    install_interrupt_handlers();
+  }
   try {
     const dse::SweepResult result =
-        dse::run_sweep_resumable(grid, sweep_metric_names(), evaluate,
-                                 options);
+        dse::run_sweep(grid, sweep_metric_names(), evaluate, options);
     return print_sweep_result(result, args, net.name());
   } catch (const dse::SweepInterrupted& interrupted) {
     std::cerr << "interrupted: " << interrupted.what() << "\n";
