@@ -12,9 +12,9 @@
 // single-relaxed-load-plus-branch cost class.
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <vector>
 
+#include "mapper_oracle.hpp"
 #include "uld3d/accel/case_study.hpp"
 #include "uld3d/core/edp_model.hpp"
 #include "uld3d/core/workload.hpp"
@@ -111,9 +111,10 @@ int main(int argc, char** argv) {
 
   // --- SoA batch candidate evaluation vs the seed scalar loop ---------------
   // 4096 jittered candidates priced per sample.  The scalar leg is the seed
-  // path (price_candidate_scalar + strict-< argmin); the batch leg is
-  // evaluate_candidates with whatever SIMD dispatch the host offers.  Both
-  // must crown the same winner — that agreement is a hard fidelity value.
+  // loop from tests/oracle (price_candidate_scalar + strict-< argmin); the
+  // batch leg is evaluate_candidates with whatever SIMD dispatch the host
+  // offers.  Both must crown the same winner — that agreement is a hard
+  // fidelity value.
   double batch_winner_edp = 0.0;
   double batch_scalar_winner_match = 0.0;
   {
@@ -131,18 +132,7 @@ int main(int argc, char** argv) {
     const auto pool = synthetic_candidates(conv, arch, kCandidates);
 
     const auto scalar_eval = [&] {
-      mapper::LayerCost best;
-      double best_edp = std::numeric_limits<double>::infinity();
-      for (const auto& m : pool) {
-        mapper::LayerCost c =
-            mapper::price_candidate_scalar(conv, m, arch, sys, 8);
-        const double edp = c.latency_cycles * c.energy_pj;
-        if (edp < best_edp) {
-          best_edp = edp;
-          best = c;
-        }
-      }
-      return best;
+      return oracle::seed_best(conv, pool, arch, sys, 8);
     };
     mapper::CandidateBatch scratch;
     const auto batch_eval = [&] {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "uld3d/mapper/batch_eval.hpp"
 #include "uld3d/mapper/map_cache.hpp"
@@ -15,10 +14,9 @@ namespace uld3d::mapper {
 
 namespace {
 
-// The seed per-candidate pricing (`price_candidate`) moved verbatim to
-// batch_eval.cpp as `price_candidate_scalar`; evaluate_conv below prices all
-// candidates of a layer through the SoA batch passes instead and falls back
-// to the scalar loop when batch evaluation is disabled.
+// evaluate_conv prices all candidates of a layer through the SoA batch
+// passes (batch_eval.hpp).  The seed per-candidate pricing they replace is
+// kept in tests/oracle as the differential reference.
 
 LayerCost price_vector_layer(const nn::Layer& layer, const Architecture& arch,
                              const SystemCosts& sys, std::int64_t n_cs) {
@@ -74,31 +72,13 @@ LayerCost evaluate_conv(const nn::ConvSpec& conv, const Architecture& arch,
   thread_local std::vector<TemporalMapping> candidates;
   thread_local CandidateBatch batch;
   candidate_mappings(conv, arch, candidates);
-  LayerCost best;
-  if (batch_eval_enabled()) {
-    best = evaluate_candidates(conv, candidates, arch, sys, n_cs, batch);
-    if (metrics_enabled()) {
-      MetricsRegistry::instance()
-          .counter("mapper.batch.batched_candidates")
-          .add(candidates.size());
-      simd::record_dispatch_metric();
-    }
-  } else {
-    // Seed scalar loop, kept as the A/B baseline for ULD3D_NO_SIMD runs.
-    double best_edp = std::numeric_limits<double>::infinity();
-    for (const auto& m : candidates) {
-      LayerCost c = price_candidate_scalar(conv, m, arch, sys, n_cs);
-      const double edp = c.latency_cycles * c.energy_pj;
-      if (edp < best_edp) {
-        best_edp = edp;
-        best = std::move(c);
-      }
-    }
-    if (metrics_enabled()) {
-      MetricsRegistry::instance()
-          .counter("mapper.batch.scalar_fallback_calls")
-          .add();
-    }
+  LayerCost best =
+      evaluate_candidates(conv, candidates, arch, sys, n_cs, batch);
+  if (metrics_enabled()) {
+    MetricsRegistry::instance()
+        .counter("mapper.batch.batched_candidates")
+        .add(candidates.size());
+    simd::record_dispatch_metric();
   }
   if (cache.enabled()) cache.insert(cache_key, best);
   return best;

@@ -14,12 +14,13 @@
 // vectorized EDP reduction with a deterministic serial argmin tie-break.
 // Only the winner is materialized as a LayerCost.
 //
-// Determinism: every pass mirrors the scalar expression tree of
-// `price_candidate_scalar` operation-for-operation (see util/simd.hpp for
-// the per-lane exactness argument), and the argmin reproduces the serial
-// strict-`<` recurrence, so batch-on, forced-scalar (`ULD3D_NO_SIMD=1` /
-// `set_batch_eval_enabled(false)`), and the seed loop pick byte-identical
-// best mappings.  test_mapper_batch_eval enforces this differentially.
+// Determinism: every pass mirrors the scalar expression tree of the seed
+// per-candidate pricing operation-for-operation (see util/simd.hpp for the
+// per-lane exactness argument), and the argmin reproduces the serial
+// strict-`<` recurrence, so the AVX2 kernels, the scalar kernels
+// (`ULD3D_NO_SIMD=1` / `simd::set_force_scalar`), and the seed loop pick
+// byte-identical best mappings.  The seed loop lives in tests/oracle;
+// test_mapper_batch_eval and bench_perf_kernels compare against it.
 #pragma once
 
 #include <cstdint>
@@ -30,24 +31,6 @@
 #include "uld3d/util/batch.hpp"
 
 namespace uld3d::mapper {
-
-/// The seed per-candidate pricing (exact original arithmetic).  Exposed as
-/// the reference implementation for the differential tests and the scalar
-/// baseline of bench_perf_kernels' batch-vs-scalar throughput pin, and as
-/// the fallback `evaluate_conv` takes when batch evaluation is disabled.
-[[nodiscard]] LayerCost price_candidate_scalar(const nn::ConvSpec& conv,
-                                               const TemporalMapping& m,
-                                               const Architecture& arch,
-                                               const SystemCosts& sys,
-                                               std::int64_t n_cs);
-
-/// Batch evaluation on/off.  Reads `ULD3D_NO_SIMD` once at startup (set
-/// non-empty to disable, mirroring ULD3D_NO_MAPCACHE); the setter is the
-/// runtime override for tests and A/B baselines.  When off, evaluate_conv
-/// runs the seed scalar loop and counts
-/// "mapper.batch.scalar_fallback_calls".
-[[nodiscard]] bool batch_eval_enabled();
-void set_batch_eval_enabled(bool enabled);
 
 /// SoA scratch for one batch evaluation.  Reused across calls (the arrays
 /// ratchet capacity and are fully overwritten), so steady-state evaluation
@@ -81,7 +64,8 @@ struct CandidateBatch {
 
 /// Price all `candidates` of `conv` on `arch` through the SoA passes and
 /// return the cheapest-EDP candidate as a LayerCost, byte-identical to the
-/// seed loop `for (m : candidates) best = min_edp(price_candidate_scalar)`.
+/// seed loop that prices each candidate on its own and keeps the strict-`<`
+/// EDP minimum (oracle::seed_best in tests/oracle).
 /// Returns a default-constructed LayerCost when no candidate has an EDP
 /// strictly below +inf (the seed loop's behavior on all-NaN/inf batches).
 [[nodiscard]] LayerCost evaluate_candidates(

@@ -21,8 +21,8 @@
 // mutex.  Racing inserts of the same key are benign: both threads computed
 // the same value, first-in wins, the duplicate is dropped.
 //
-// `ULD3D_NO_MAPCACHE` (set non-empty) disables the cache at startup;
-// `set_enabled` toggles it at runtime (tests, cache-off baselines).
+// The cache is on by default; `set_enabled` toggles it at runtime (tests,
+// cache-off baselines).
 // Hit/miss totals are mirrored into the MetricsRegistry as
 // "mapper.mapcache.hits"/"mapper.mapcache.misses"; hits on entries that
 // came from an on-disk store (uld3d/mapper/map_cache_file.hpp) are
@@ -68,7 +68,7 @@ class MapCache {
     }
   };
 
-  /// Process-wide instance (lazy; reads ULD3D_NO_MAPCACHE once on first use).
+  /// Process-wide instance (created on first use).
   static MapCache& instance();
 
   MapCache(const MapCache&) = delete;
@@ -133,7 +133,7 @@ class MapCache {
   }
 
  private:
-  MapCache();
+  MapCache() = default;
 
   struct Entry {
     LayerCost cost;

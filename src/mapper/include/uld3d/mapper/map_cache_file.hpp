@@ -39,8 +39,8 @@
 // StatusError(kInvalidConfig); a MISSING file is a normal cold start.
 //
 // `ULD3D_MAPCACHE_FILE` names a store for processes whose flags a script
-// cannot edit (mirrors `--mapcache-file`); `ULD3D_NO_MAPCACHE_FILE` (set
-// non-empty) is the escape hatch disabling the file layer entirely.
+// cannot edit (mirrors `--mapcache-file`).  A run without either has no
+// file layer at all.
 #pragma once
 
 #include <cstddef>
@@ -66,10 +66,6 @@ std::size_t load_map_cache_file(const std::string& path);
 /// counts them as "mapper.mapcache.file_appends".  Throws
 /// StatusError(kInternal) when the file cannot be written.
 std::size_t save_map_cache_file(const std::string& path);
-
-/// False once ULD3D_NO_MAPCACHE_FILE is set non-empty (read per call so
-/// tests can flip it); callers skip both load and save.
-[[nodiscard]] bool mapcache_file_enabled();
 
 /// ULD3D_MAPCACHE_FILE, or "" when unset.
 [[nodiscard]] std::string mapcache_file_path_from_env();

@@ -34,15 +34,11 @@ struct SpatialSearchResult {
   [[nodiscard]] double improvement() const;
 };
 
-/// Admissible-pruning lever: on by default, `ULD3D_NO_SPATIAL_PRUNE` (set
-/// non-empty) disables it at startup, the setter at runtime (differential
-/// tests, A/B timing).  Pruning never changes the winner — it only skips
-/// pricing candidates whose lower bound already exceeds the incumbent.
-[[nodiscard]] bool spatial_prune_enabled();
-void set_spatial_prune_enabled(bool enabled);
-
 /// Search the best spatial unrolling for `conv` on a variant of `arch`
 /// (buffers and hierarchy unchanged; only the PE-array shape moves).
+/// Candidates whose admissible EDP lower bound already reaches the fixed
+/// dataflow's EDP are counted but not priced; the winner is the one an
+/// exhaustive search would pick (tests/oracle keeps that search).
 [[nodiscard]] SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
                                                  const Architecture& arch,
                                                  const SystemCosts& sys,

@@ -1,7 +1,6 @@
 #include "uld3d/mapper/map_cache.hpp"
 
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 
 #include "uld3d/util/metrics.hpp"
@@ -85,13 +84,6 @@ std::uint64_t mix_hash(std::uint64_t h) {
 }
 
 }  // namespace
-
-MapCache::MapCache() {
-  const char* env = std::getenv("ULD3D_NO_MAPCACHE");
-  if (env != nullptr && *env != '\0') {
-    enabled_.store(false, std::memory_order_relaxed);
-  }
-}
 
 MapCache& MapCache::instance() {
   static MapCache cache;

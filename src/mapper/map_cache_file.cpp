@@ -283,11 +283,6 @@ std::optional<std::string> read_file(const std::string& path) {
 
 }  // namespace
 
-bool mapcache_file_enabled() {
-  const char* env = std::getenv("ULD3D_NO_MAPCACHE_FILE");
-  return env == nullptr || *env == '\0';
-}
-
 std::string mapcache_file_path_from_env() {
   const char* env = std::getenv("ULD3D_MAPCACHE_FILE");
   return env != nullptr ? env : "";

@@ -1,8 +1,6 @@
 #include "uld3d/mapper/spatial_search.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 
@@ -17,14 +15,6 @@
 namespace uld3d::mapper {
 
 namespace {
-
-std::atomic<bool>& prune_flag() {
-  static std::atomic<bool> enabled{[] {
-    const char* env = std::getenv("ULD3D_NO_SPATIAL_PRUNE");
-    return env == nullptr || *env == '\0';
-  }()};
-  return enabled;
-}
 
 /// The bound below is admissible only in the physically sane regime where
 /// every energy-side parameter is non-negative (then energy >= MAC energy
@@ -47,14 +37,6 @@ bool prune_bound_valid(const Architecture& arch, const SystemCosts& sys) {
 }
 
 }  // namespace
-
-bool spatial_prune_enabled() {
-  return prune_flag().load(std::memory_order_relaxed);
-}
-
-void set_spatial_prune_enabled(bool enabled) {
-  prune_flag().store(enabled, std::memory_order_relaxed);
-}
 
 std::vector<SpatialUnrolling> enumerate_unrollings(std::int64_t total_pes) {
   expects(total_pes >= 1 && (total_pes & (total_pes - 1)) == 0,
@@ -116,7 +98,7 @@ SpatialSearchResult search_spatial(const nn::ConvSpec& conv,
   std::vector<char> pruned(candidates.size(), 0);
   const double fixed_edp =
       result.fixed_cost.latency_cycles * result.fixed_cost.energy_pj;
-  if (spatial_prune_enabled() && std::isfinite(fixed_edp) &&
+  if (std::isfinite(fixed_edp) &&
       prune_bound_valid(arch, sys)) {
     const double macs = static_cast<double>(conv.k * conv.c * conv.ox *
                                             conv.oy * conv.fx * conv.fy);

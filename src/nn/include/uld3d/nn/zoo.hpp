@@ -21,6 +21,9 @@ namespace uld3d::nn {
 /// Throws PreconditionError for unknown names.
 [[nodiscard]] Network make_network(const std::string& name);
 
+/// True when make_network() accepts `name`.
+[[nodiscard]] bool is_zoo_network(const std::string& name);
+
 /// Names accepted by make_network().
 [[nodiscard]] std::vector<std::string> zoo_names();
 

@@ -164,16 +164,32 @@ Network make_resnet152() {
   return make_resnet_bottleneck("ResNet-152", {3, 8, 36, 3});
 }
 
-Network make_network(const std::string& name) {
+namespace {
+
+using NetworkFactory = Network (*)();
+
+/// make_network's lookup: the builder for `name`, or nullptr if unknown.
+NetworkFactory find_network(const std::string& name) {
   const std::string key = lower(name);
-  if (key == "alexnet") return make_alexnet();
-  if (key == "vgg16" || key == "vgg") return make_vgg16();
-  if (key == "resnet18") return make_resnet18();
-  if (key == "resnet34") return make_resnet34();
-  if (key == "resnet50") return make_resnet50();
-  if (key == "resnet152") return make_resnet152();
-  expects(false, "unknown network: " + name);
-  return make_resnet18();  // unreachable
+  if (key == "alexnet") return make_alexnet;
+  if (key == "vgg16" || key == "vgg") return make_vgg16;
+  if (key == "resnet18") return make_resnet18;
+  if (key == "resnet34") return make_resnet34;
+  if (key == "resnet50") return make_resnet50;
+  if (key == "resnet152") return make_resnet152;
+  return nullptr;
+}
+
+}  // namespace
+
+Network make_network(const std::string& name) {
+  const NetworkFactory make = find_network(name);
+  expects(make != nullptr, "unknown network: " + name);
+  return make();
+}
+
+bool is_zoo_network(const std::string& name) {
+  return find_network(name) != nullptr;
 }
 
 std::vector<std::string> zoo_names() {

@@ -20,9 +20,9 @@ namespace uld3d::phys {
 
 /// A rectangle's (clamped) window of grid bins: columns [x0, x1), rows
 /// [y0, y1).  The single source of truth for um -> bin quantization; every
-/// occupancy query and every fast-path skip decision goes through it, so
-/// the run-skipping scans can never disagree with the naive loops about
-/// which bins a rectangle covers.
+/// occupancy query and every run-skip decision goes through it, so a
+/// skipped candidate can never disagree with its own query about which
+/// bins a rectangle covers.
 struct BinSpan {
   std::int64_t x0 = 0;
   std::int64_t y0 = 0;

@@ -20,17 +20,15 @@
 //    itself is Rect::overlaps on the exact stored rectangles, so the answer
 //    is identical to the full loop.
 //
-// Both structures are pure accelerators: every fast path they serve is
-// bit-identical to the naive implementation (same scan order, same
-// tie-breaks, same RNG consumption), which the randomized differential
-// suite in tests/test_phys_occupancy_index.cpp asserts.  Setting the
-// environment variable `ULD3D_NO_PLACER_INDEX` (non-empty) at startup
-// disables the fast paths process-wide, mirroring `ULD3D_NO_MAPCACHE`;
-// `set_placer_index_enabled` toggles them at runtime (tests, A/B timing).
+// Both structures are pure accelerators: every query they serve is
+// bit-identical to the naive byte-grid / linear-scan implementation (same
+// scan order, same tie-breaks, same RNG consumption).  Those naive
+// implementations live in tests/oracle as the reference the randomized
+// differentials in tests/test_phys_occupancy_index.cpp compare against.
 //
 // Neither class is thread-safe for concurrent mutation; each thread owns
 // its Floorplan/Placer state (the chip_summary fan-out builds one flow per
-// task), and the enable flag is a single relaxed atomic.
+// task).
 #pragma once
 
 #include <cstdint>
@@ -40,14 +38,6 @@
 #include "uld3d/phys/geometry.hpp"
 
 namespace uld3d::phys {
-
-/// True when the placement fast paths (occupancy index, run-skipping,
-/// spatial buckets) are active.  Reads ULD3D_NO_PLACER_INDEX once on first
-/// use; one relaxed atomic load per call afterwards.
-[[nodiscard]] bool placer_index_enabled();
-
-/// Runtime override of the fast-path flag (tests and A/B baselines).
-void set_placer_index_enabled(bool enabled);
 
 /// Summed-area occupancy index over a row-major byte grid of nx * ny bins
 /// (non-zero byte = occupied).  The grid is passed into `refresh`, not

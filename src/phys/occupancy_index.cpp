@@ -1,35 +1,13 @@
 #include "uld3d/phys/occupancy_index.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "uld3d/util/batch.hpp"
 #include "uld3d/util/check.hpp"
 #include "uld3d/util/simd.hpp"
 
 namespace uld3d::phys {
-
-namespace {
-
-std::atomic<bool>& placer_index_flag() {
-  static std::atomic<bool> enabled{std::getenv("ULD3D_NO_PLACER_INDEX") ==
-                                       nullptr ||
-                                   std::getenv("ULD3D_NO_PLACER_INDEX")[0] ==
-                                       '\0'};
-  return enabled;
-}
-
-}  // namespace
-
-bool placer_index_enabled() {
-  return placer_index_flag().load(std::memory_order_relaxed);
-}
-
-void set_placer_index_enabled(bool enabled) {
-  placer_index_flag().store(enabled, std::memory_order_relaxed);
-}
 
 void OccupancyIndex::refresh(const std::uint8_t* occupied, std::int64_t nx,
                              std::int64_t ny) {

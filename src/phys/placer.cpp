@@ -45,23 +45,6 @@ Rect bin_expand(const Rect& rect, double bin) {
           std::ceil(rect.y1 / bin - 1e-9) * bin};
 }
 
-/// Legal = inside the die, free of fixed blockages, disjoint from siblings.
-/// Reference implementation: the full sibling scan, no index involved.
-bool legal_naive(const Floorplan& fp, const SoftBlock& block, const Rect& rect,
-                 const std::vector<Rect>& placed, std::size_t self) {
-  const Rect q = bin_expand(rect, fp.bin_um());
-  if (q.x0 < 0.0 || q.y0 < 0.0 || q.x1 > fp.width_um() + 1e-6 ||
-      q.y1 > fp.height_um() + 1e-6) {
-    return false;
-  }
-  if (!fp.region_free(block.tier, q)) return false;
-  for (std::size_t i = 0; i < placed.size(); ++i) {
-    if (i == self || !placed[i].valid()) continue;
-    if (bin_expand(placed[i], fp.bin_um()).overlaps(q)) return false;
-  }
-  return true;
-}
-
 /// Left-to-right skip state for one scan row.  A blocked candidate records
 /// what blocked it; later candidates in the same row whose bin-expanded
 /// window still reaches the blocker are rejected without a query (the
@@ -111,8 +94,8 @@ std::size_t first_true(std::size_t lo, std::size_t hi, Pred pred) {
   return lo;
 }
 
-/// A candidate's position in the reference scan order.  Among candidates
-/// of equal cost, the one with the smallest key is the reference winner.
+/// A candidate's position in the in-order scan.  Among candidates of equal
+/// cost, the one with the smallest key is the winner.
 struct ScanKey {
   std::size_t aspect = 0;
   std::size_t row = 0;
@@ -164,10 +147,9 @@ PlacementResult Placer::place(Floorplan& fp,
   Counter& c_legal = registry.counter("phys.placer.legal_checks");
   Counter& c_pruned = registry.counter("phys.placer.lb_pruned");
 
-  // Fast-path state: bin-expanded rects of currently placed siblings.  The
-  // buckets mirror `rects` exactly (insert on place, remove+insert on an
-  // accepted anneal move), so a bucket query equals the naive sibling scan.
-  const bool fast = placer_index_enabled();
+  // Bin-expanded rects of currently placed siblings.  The buckets mirror
+  // `rects` exactly (insert on place, remove+insert on an accepted anneal
+  // move), so a bucket query equals a full sibling scan.
   const double bin = fp.bin_um();
   RectBuckets buckets(fp.width_um(), fp.height_um(),
                       std::max<std::size_t>(blocks.size(), 1));
@@ -182,12 +164,11 @@ PlacementResult Placer::place(Floorplan& fp,
   std::vector<Rect> rects(blocks.size());  // invalid until placed
   const double step = options_.grid_step_um;
 
-  // Fast-path legality for one candidate.  Identical verdict to
-  // legal_naive (same bounds comparisons; the occupancy index and the
-  // buckets answer the same queries), but a blocked candidate feeds the
-  // row-skip state.
-  const auto legal_fast = [&](const SoftBlock& block, const Rect& q,
-                              std::size_t self, RowSkip& skip) -> bool {
+  // Legality of one bin-expanded candidate: inside the die, free of fixed
+  // blockages, disjoint from placed siblings.  A blocked candidate feeds
+  // the row-skip state.
+  const auto legal = [&](const SoftBlock& block, const Rect& q,
+                         std::size_t self, RowSkip& skip) -> bool {
     if (q.x0 < 0.0 || q.y0 < 0.0 || q.x1 > fp.width_um() + 1e-6 ||
         q.y1 > fp.height_um() + 1e-6) {
       return false;
@@ -210,43 +191,14 @@ PlacementResult Placer::place(Floorplan& fp,
   constexpr double kAspects[] = {1.0, 2.0, 0.5, 3.0, 1.0 / 3.0, 4.0, 0.25};
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // Reference scan (index off): every (aspect, y, x) lattice position in
-  // order, naive legality, and a strict < so the first of equal-cost
-  // candidates wins.
-  const auto reference_scan = [&](std::size_t bi, double scan_step,
-                                  double penalty_weight) -> Rect {
-    const SoftBlock& block = blocks[bi];
-    double best_cost = kInf;
-    Rect best{};
-    for (const double aspect_scale : kAspects) {
-      const double aspect = block.aspect * aspect_scale;
-      const double w = std::sqrt(block.area_um2 * aspect);
-      const double h = std::sqrt(block.area_um2 / aspect);
-      const double distortion_penalty =
-          penalty_weight * fp.width_um() * std::abs(std::log(aspect_scale));
-      for (double y = 0.0; y + h <= fp.height_um() + 1e-6; y += scan_step) {
-        for (double x = 0.0; x + w <= fp.width_um() + 1e-6; x += scan_step) {
-          const Rect rect = Rect::at(x, y, w, h);
-          c_scanned.add();
-          if (!legal_naive(fp, block, rect, rects, bi)) continue;
-          const double cost = block_cost(block, rect, fixed) + distortion_penalty;
-          if (cost < best_cost) {
-            best_cost = cost;
-            best = rect;
-          }
-        }
-      }
-    }
-    return best;
-  };
-
-  // Exact best-first scan (index on; DESIGN.md §12).  It returns the
-  // reference winner -- the minimum-cost legal candidate, smallest
-  // (aspect, row, col) key among equals -- but prices and tests only
-  // candidates that could still be that winner: rows in ascending order of
-  // a cost lower bound, and in each row only the x-window priced at or
-  // below the incumbent.  The scratch buffers only keep their capacity
-  // across calls.
+  // Exact best-first scan (DESIGN.md §12).  It returns the winner of the
+  // plain in-order scan over every (aspect, y, x) lattice position -- the
+  // minimum-cost legal candidate, smallest (aspect, row, col) key among
+  // equals; tests/oracle keeps that scan as the reference -- but prices
+  // and tests only candidates that could still be that winner: rows in
+  // ascending order of a cost lower bound, and in each row only the
+  // x-window priced at or below the incumbent.  The scratch buffers only
+  // keep their capacity across calls.
   std::vector<double> xs;
   std::vector<double> ys;
   std::vector<double> q_x0s;          // bin-expanded left edge per column
@@ -272,7 +224,7 @@ PlacementResult Placer::place(Floorplan& fp,
       s.h = std::sqrt(block.area_um2 / aspect);
       s.penalty =
           penalty_weight * fp.width_um() * std::abs(std::log(kAspects[a]));
-      // The reference loops' accumulated coordinates, bit for bit: every
+      // The in-order scan's accumulated coordinates, bit for bit: every
       // aspect walks the same sequence and only stops at a different
       // length, so the lattices are shared prefixes.
       for (double x = 0.0; x + s.w <= fp.width_um() + 1e-6; x += scan_step) {
@@ -361,7 +313,7 @@ PlacementResult Placer::place(Floorplan& fp,
           continue;
         }
         ++scanned;
-        if (!legal_fast(block, bin_expand(rect, bin), bi, skip)) continue;
+        if (!legal(block, bin_expand(rect, bin), bi, skip)) continue;
         best_cost = cost;
         best = rect;
         best_key = key;
@@ -378,12 +330,6 @@ PlacementResult Placer::place(Floorplan& fp,
     return best;
   };
 
-  const auto try_place = [&](std::size_t bi, double scan_step,
-                             double penalty_weight) -> Rect {
-    return fast ? best_first_scan(bi, scan_step, penalty_weight)
-                : reference_scan(bi, scan_step, penalty_weight);
-  };
-
   // First-fit bottom-left scan, ignoring affinities — the dense-packing
   // fallback when affinity-driven placement fragments the free space.
   const auto shelf_place = [&](std::size_t bi) -> Rect {
@@ -396,18 +342,13 @@ PlacementResult Placer::place(Floorplan& fp,
         RowSkip skip;
         for (double x = 0.0; x + w <= fp.width_um() + 1e-6; x += fp.bin_um()) {
           const Rect rect = Rect::at(x, y, w, h);
-          if (fast) {
-            const Rect q = bin_expand(rect, bin);
-            if (skip.covers(fp, q)) {
-              c_skipped.add();
-              continue;
-            }
-            c_scanned.add();
-            if (legal_fast(block, q, bi, skip)) return rect;
-          } else {
-            c_scanned.add();
-            if (legal_naive(fp, block, rect, rects, bi)) return rect;
+          const Rect q = bin_expand(rect, bin);
+          if (skip.covers(fp, q)) {
+            c_skipped.add();
+            continue;
           }
+          c_scanned.add();
+          if (legal(block, q, bi, skip)) return rect;
         }
       }
     }
@@ -416,17 +357,17 @@ PlacementResult Placer::place(Floorplan& fp,
 
   const auto commit_rect = [&](std::size_t bi, const Rect& rect) {
     rects[bi] = rect;
-    if (fast && rect.valid()) buckets.insert(bi, bin_expand(rect, bin));
+    if (rect.valid()) buckets.insert(bi, bin_expand(rect, bin));
   };
 
   bool any_failed = false;
   for (const std::size_t bi : order) {
     expects(blocks[bi].area_um2 > 0.0,
             "soft block area must be positive: " + blocks[bi].name);
-    Rect best = try_place(bi, step, 0.02);
+    Rect best = best_first_scan(bi, step, 0.02);
     if (!best.valid()) {
       // Second chance: finer scan, any shape accepted.
-      best = try_place(bi, step / 2.0, 0.0);
+      best = best_first_scan(bi, step / 2.0, 0.0);
     }
     if (!best.valid()) any_failed = true;
     commit_rect(bi, best);
@@ -461,21 +402,14 @@ PlacementResult Placer::place(Floorplan& fp,
     const Rect candidate =
         Rect::at(x, y, rects[bi].width(), rects[bi].height());
     c_scanned.add();
-    if (fast) {
-      RowSkip skip;  // single candidate; the hints are unused
-      const Rect q = bin_expand(candidate, bin);
-      if (!legal_fast(block, q, bi, skip)) continue;
-    } else {
-      if (!legal_naive(fp, block, candidate, rects, bi)) continue;
-    }
+    RowSkip skip;  // single candidate; the hints are unused
+    if (!legal(block, bin_expand(candidate, bin), bi, skip)) continue;
     const double old_cost = block_cost(block, rects[bi], fixed);
     const double new_cost = block_cost(block, candidate, fixed);
     const double delta = new_cost - old_cost;
     if (delta < 0.0 || rng.uniform() < std::exp(-delta / temperature)) {
-      if (fast) {
-        buckets.remove(bi, bin_expand(rects[bi], bin));
-        buckets.insert(bi, bin_expand(candidate, bin));
-      }
+      buckets.remove(bi, bin_expand(rects[bi], bin));
+      buckets.insert(bi, bin_expand(candidate, bin));
       rects[bi] = candidate;
     }
     temperature *= options_.cooling;

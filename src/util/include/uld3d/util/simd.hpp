@@ -1,12 +1,11 @@
 // Runtime SIMD dispatch for the data-oriented batch kernels.
 //
-// The batch kernels (mapper/batch_eval, sim's energy finishing, the phys
-// occupancy-index build) each ship two implementations: a portable scalar
-// loop and an AVX2 one.  Which one runs is decided ONCE per process from
-// CPUID plus the `ULD3D_NO_SIMD` escape hatch (set non-empty to force the
-// scalar path, mirroring `ULD3D_NO_MAPCACHE`/`ULD3D_NO_PLACER_INDEX`), and
-// can be overridden at runtime with `set_force_scalar` for differential
-// tests.
+// The batch kernels (mapper/batch_eval, the phys occupancy-index build)
+// each ship two implementations: a portable scalar loop and an AVX2 one.
+// Which one runs is decided ONCE per process from CPUID plus
+// `ULD3D_NO_SIMD` (set non-empty to force the scalar kernels, the only
+// path on hosts without AVX2), and can be overridden at runtime with
+// `set_force_scalar` for differential tests.
 //
 // Determinism contract (DESIGN.md §16): every AVX2 kernel mirrors the
 // scalar expression tree operation-for-operation — IEEE-exact per-lane
@@ -46,9 +45,6 @@ enum class Isa {
 /// not touch the latched CPUID result: clearing the override restores the
 /// startup decision.
 void set_force_scalar(bool force);
-
-/// True when `ULD3D_NO_SIMD` was set (non-empty) at first dispatch.
-[[nodiscard]] bool disabled_by_env();
 
 /// True when the CPU itself supports AVX2 (independent of overrides).
 [[nodiscard]] bool cpu_has_avx2();

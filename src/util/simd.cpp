@@ -46,8 +46,6 @@ std::atomic<bool>& force_scalar_flag() {
 
 bool cpu_has_avx2() { return dispatch().cpu_avx2; }
 
-bool disabled_by_env() { return dispatch().env_disabled; }
-
 void set_force_scalar(bool force) {
   force_scalar_flag().store(force, std::memory_order_relaxed);
 }

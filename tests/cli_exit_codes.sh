@@ -29,6 +29,15 @@ check 2 "$cli"
 check 2 "$cli" frobnicate
 check 2 "$cli" compare --bogus-flag
 check 2 "$cli" arch --network alexnet   # arch without --config
+check 2 "$cli" compare --network nope   # unknown network, caught at parse
+
+# the unknown-network usage error lists the zoo instead of a source path
+stderr_out="$("$cli" compare --network nope 2>&1 >/dev/null)"
+case "$stderr_out" in
+  *"unknown network: nope"*ResNet-18*) : ;;
+  *) echo "FAIL: expected the zoo names in the usage error, got: $stderr_out" >&2
+     failures=$((failures + 1)) ;;
+esac
 
 # 3: config errors
 check 3 "$cli" compare --config "$tmpdir/does_not_exist.ini"

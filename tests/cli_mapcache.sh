@@ -6,9 +6,9 @@
 #     mapper.mapcache.file_hits and file_loads with zero file_appends.
 #  2. ULD3D_MAPCACHE_FILE mirrors the flag.
 #  3. A corrupted cache file, and a path that is not a regular file (a
-#     directory), are refused with exit 3 (config error) before any work
-#     runs; ULD3D_NO_MAPCACHE_FILE bypasses the file layer and the same run
-#     exits 0.
+#     directory), are refused with exit 3 and a "config error:" prefix
+#     before any work runs; the refused store is left byte-identical, and
+#     the same sweep without --mapcache-file prints the cold run's stdout.
 #  4. One sweep runner: the same sweep with --checkpoint (flushed after
 #     every point) prints byte-identical stdout to the plain run.
 #
@@ -69,21 +69,26 @@ cmp -s "$tmpdir/cold.out" "$tmpdir/env.out" \
 metric_nonzero "$tmpdir/env.json" mapper.mapcache.file_hits \
   || fail "ULD3D_MAPCACHE_FILE run shows no file hits"
 
-# --- 3. corrupt store: refused with exit 3; escape hatch bypasses it --------
+# --- 3. corrupt store: refused with exit 3 and left untouched --------------
 cp "$store" "$tmpdir/corrupt.bin"
 # Flip one mid-file byte (printf octal escape keeps this POSIX-portable).
 printf '\252' | dd of="$tmpdir/corrupt.bin" bs=1 seek=100 conv=notrunc 2>/dev/null
+cp "$tmpdir/corrupt.bin" "$tmpdir/corrupt.orig"
 "$cli" sweep --mapper --keep-going --mapcache-file "$tmpdir/corrupt.bin" \
   > /dev/null 2> "$tmpdir/corrupt.err"
 [ $? -eq 3 ] || fail "corrupt cache file should exit 3 (config error)"
+grep -q "^config error:" "$tmpdir/corrupt.err" \
+  || fail "corrupt-cache refusal is not reported as a config error"
 grep -qi "checksum\|map-cache" "$tmpdir/corrupt.err" \
   || fail "corrupt-cache refusal does not name the cache file problem"
+cmp -s "$tmpdir/corrupt.orig" "$tmpdir/corrupt.bin" \
+  || fail "the refused run rewrote the corrupt store"
 
-env ULD3D_NO_MAPCACHE_FILE=1 "$cli" sweep --mapper --keep-going \
-  --mapcache-file "$tmpdir/corrupt.bin" > "$tmpdir/nofile.out" 2> /dev/null \
-  || fail "ULD3D_NO_MAPCACHE_FILE should ignore the corrupt store and exit 0"
+# Without a store the same sweep prints the same table.
+"$cli" sweep --mapper --keep-going > "$tmpdir/nofile.out" 2> /dev/null \
+  || fail "mapper sweep without a store exited non-zero"
 cmp -s "$tmpdir/cold.out" "$tmpdir/nofile.out" \
-  || fail "ULD3D_NO_MAPCACHE_FILE stdout differs"
+  || fail "mapper sweep without a store: stdout differs from the cold run"
 
 # A truncated store is refused too.
 head -c 40 "$store" > "$tmpdir/trunc.bin"
@@ -96,6 +101,8 @@ mkdir "$tmpdir/store_dir"
 "$cli" sweep --mapper --keep-going --mapcache-file "$tmpdir/store_dir" \
   > /dev/null 2> "$tmpdir/dir.err"
 [ $? -eq 3 ] || fail "a directory as cache file should exit 3"
+grep -q "^config error:" "$tmpdir/dir.err" \
+  || fail "directory refusal is not reported as a config error"
 grep -q "not a regular file" "$tmpdir/dir.err" \
   || fail "directory refusal does not say the path is not a regular file"
 

@@ -1,10 +1,9 @@
-// Differential suite for the SoA batch candidate evaluation (PR: data-
-// oriented batch kernels).  The contract under test: batch-on (AVX2),
-// batch-on with forced-scalar kernels, and the seed scalar loop
-// (`set_batch_eval_enabled(false)`, the ULD3D_NO_SIMD path) all pick the
-// same winning mapping and return byte-identical LayerCost/NetworkCost —
-// across randomized layer shapes, jobs counts, cache modes, and
-// denormal/overflow edge cases.
+// Differential suite for the SoA batch candidate evaluation.  The contract
+// under test: the batch passes with AVX2 kernels, the same passes with
+// forced-scalar kernels (the ULD3D_NO_SIMD path), and the seed scalar loop
+// (oracle::seed_best from tests/oracle) all pick the same winning mapping
+// and return byte-identical LayerCost/NetworkCost — across randomized layer
+// shapes, jobs counts, cache modes, and denormal/overflow edge cases.
 #include "uld3d/mapper/batch_eval.hpp"
 
 #include <gtest/gtest.h>
@@ -12,9 +11,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <vector>
 
+#include "mapper_oracle.hpp"
 #include "uld3d/mapper/map_cache.hpp"
 #include "uld3d/mapper/spatial_search.hpp"
 #include "uld3d/mapper/table2.hpp"
@@ -26,14 +25,13 @@
 namespace uld3d::mapper {
 namespace {
 
-/// Restores every global knob the suite touches: batch flag, SIMD override,
-/// cache, jobs.
+/// Restores every global knob the suite touches: SIMD override, cache,
+/// jobs.
 class BatchEvalTest : public ::testing::Test {
  protected:
   void SetUp() override { reset(); }
   void TearDown() override { reset(); }
   static void reset() {
-    set_batch_eval_enabled(true);
     simd::set_force_scalar(false);
     MapCache::instance().set_enabled(true);
     MapCache::instance().clear();
@@ -77,23 +75,12 @@ nn::ConvSpec random_conv(Rng& rng, int i) {
   return s;
 }
 
-/// The naive reference: an independent copy of the seed argmin loop over
-/// price_candidate_scalar, deliberately NOT sharing any code with
-/// evaluate_candidates.
+/// The naive reference: the oracle's seed argmin loop, which shares no
+/// code with evaluate_candidates.
 LayerCost naive_best(const nn::ConvSpec& conv, const Architecture& arch,
                      const SystemCosts& sys, std::int64_t n_cs) {
-  const auto candidates = candidate_mappings(conv, arch);
-  LayerCost best;
-  double best_edp = std::numeric_limits<double>::infinity();
-  for (const auto& m : candidates) {
-    LayerCost c = price_candidate_scalar(conv, m, arch, sys, n_cs);
-    const double edp = c.latency_cycles * c.energy_pj;
-    if (edp < best_edp) {
-      best_edp = edp;
-      best = c;
-    }
-  }
-  return best;
+  return oracle::seed_best(conv, candidate_mappings(conv, arch), arch, sys,
+                           n_cs);
 }
 
 TEST_F(BatchEvalTest, RandomizedDifferentialAgainstNaiveReference) {
@@ -119,8 +106,8 @@ TEST_F(BatchEvalTest, RandomizedDifferentialAgainstNaiveReference) {
 }
 
 TEST_F(BatchEvalTest, EvaluateConvIdenticalAcrossAllThreeModes) {
-  // Modes: batch+SIMD (default), batch+forced-scalar kernels, and the seed
-  // scalar loop (what ULD3D_NO_SIMD selects at startup).
+  // Modes: batch+SIMD (default), batch+forced-scalar kernels (what
+  // ULD3D_NO_SIMD selects at startup), and the oracle's seed scalar loop.
   Rng rng(42);
   const auto arch = make_table2_architecture(2);
   MapCache::instance().set_enabled(false);
@@ -128,7 +115,6 @@ TEST_F(BatchEvalTest, EvaluateConvIdenticalAcrossAllThreeModes) {
     const nn::ConvSpec c = random_conv(rng, i);
     const std::int64_t n_cs = static_cast<std::int64_t>(1 + rng.below(64));
 
-    set_batch_eval_enabled(true);
     simd::set_force_scalar(false);
     const LayerCost simd_cost = evaluate_conv(c, arch, {}, n_cs);
 
@@ -136,9 +122,7 @@ TEST_F(BatchEvalTest, EvaluateConvIdenticalAcrossAllThreeModes) {
     const LayerCost scalar_cost = evaluate_conv(c, arch, {}, n_cs);
     simd::set_force_scalar(false);
 
-    set_batch_eval_enabled(false);
-    const LayerCost seed_cost = evaluate_conv(c, arch, {}, n_cs);
-    set_batch_eval_enabled(true);
+    const LayerCost seed_cost = naive_best(c, arch, {}, n_cs);
 
     expect_costs_identical(simd_cost, seed_cost);
     expect_costs_identical(scalar_cost, seed_cost);
@@ -146,34 +130,41 @@ TEST_F(BatchEvalTest, EvaluateConvIdenticalAcrossAllThreeModes) {
 }
 
 TEST_F(BatchEvalTest, NetworkCostIdenticalAcrossJobsCacheAndBatchModes) {
-  // The full network evaluation must be mode-invariant: batch on/off x
-  // cache on/off x jobs {1, 8} all reproduce the serial seed run bitwise.
+  // The full network evaluation must be mode-invariant: SIMD/scalar
+  // kernels x cache on/off x jobs {1, 8} all reproduce the serial
+  // scalar-kernel run bitwise, and its conv layers match the seed loop.
   const nn::Network net = nn::make_alexnet();
   const auto arch = make_table2_architecture(1);
 
-  set_batch_eval_enabled(false);
+  simd::set_force_scalar(true);
   MapCache::instance().set_enabled(false);
   parallel::set_jobs(1);
   const NetworkCost ref = evaluate_network(net, arch, {}, 4);
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    if (net.layer(i).is_conv()) {
+      expect_costs_identical(ref.layers[i],
+                             naive_best(net.layer(i).conv(), arch, {}, 4));
+    }
+  }
 
   struct Mode {
-    bool batch;
+    bool scalar;
     bool cache;
     int jobs;
   };
   for (const Mode mode :
-       {Mode{true, false, 1}, Mode{true, true, 1}, Mode{true, false, 8},
-        Mode{true, true, 8}, Mode{false, true, 8}}) {
-    set_batch_eval_enabled(mode.batch);
+       {Mode{false, false, 1}, Mode{false, true, 1}, Mode{false, false, 8},
+        Mode{false, true, 8}, Mode{true, true, 8}}) {
+    simd::set_force_scalar(mode.scalar);
     MapCache::instance().set_enabled(mode.cache);
     MapCache::instance().clear();
     parallel::set_jobs(mode.jobs);
     const NetworkCost got = evaluate_network(net, arch, {}, 4);
     EXPECT_TRUE(bits_equal(got.latency_cycles, ref.latency_cycles))
-        << "batch=" << mode.batch << " cache=" << mode.cache
+        << "scalar=" << mode.scalar << " cache=" << mode.cache
         << " jobs=" << mode.jobs;
     EXPECT_TRUE(bits_equal(got.energy_pj, ref.energy_pj))
-        << "batch=" << mode.batch << " cache=" << mode.cache
+        << "scalar=" << mode.scalar << " cache=" << mode.cache
         << " jobs=" << mode.jobs;
     ASSERT_EQ(got.layers.size(), ref.layers.size());
     for (std::size_t i = 0; i < ref.layers.size(); ++i) {
@@ -185,6 +176,9 @@ TEST_F(BatchEvalTest, NetworkCostIdenticalAcrossJobsCacheAndBatchModes) {
 TEST_F(BatchEvalTest, SpatialSearchWinnerIdenticalAcrossModes) {
   // The spatial search multiplies candidate volume ~100x (every unrolling
   // prices every temporal candidate) — the hot path the SoA kernels target.
+  // Every unrolling is priced three ways (batch+SIMD, batch+forced-scalar,
+  // seed loop); a strict-`<` reduce over the seed prices must then crown
+  // the same winner and cost as search_spatial in both kernel modes.
   const auto arch = make_table2_architecture(1);
   nn::ConvSpec c;
   c.name = "sweep";
@@ -197,16 +191,38 @@ TEST_F(BatchEvalTest, SpatialSearchWinnerIdenticalAcrossModes) {
   c.stride = 1;
   MapCache::instance().set_enabled(false);
 
-  set_batch_eval_enabled(false);
-  const SpatialSearchResult seed = search_spatial(c, arch, {}, 8);
-  set_batch_eval_enabled(true);
-  const SpatialSearchResult batch = search_spatial(c, arch, {}, 8);
+  SpatialUnrolling seed_winner = arch.spatial;
+  LayerCost seed_cost = naive_best(c, arch, {}, 8);
+  double seed_edp = seed_cost.latency_cycles * seed_cost.energy_pj;
+  const auto unrollings = enumerate_unrollings(arch.spatial.total_pes());
+  ASSERT_GT(unrollings.size(), 1U);
+  for (const SpatialUnrolling& s : unrollings) {
+    Architecture variant = arch;
+    variant.spatial = s;
+    const LayerCost seed = naive_best(c, variant, {}, 8);
+    simd::set_force_scalar(false);
+    expect_costs_identical(evaluate_conv(c, variant, {}, 8), seed);
+    simd::set_force_scalar(true);
+    expect_costs_identical(evaluate_conv(c, variant, {}, 8), seed);
+    simd::set_force_scalar(false);
+    const double edp = seed.latency_cycles * seed.energy_pj;
+    if (edp < seed_edp) {
+      seed_edp = edp;
+      seed_winner = s;
+      seed_cost = seed;
+    }
+  }
 
-  EXPECT_EQ(batch.best.k, seed.best.k);
-  EXPECT_EQ(batch.best.c, seed.best.c);
-  EXPECT_EQ(batch.best.ox, seed.best.ox);
-  EXPECT_EQ(batch.best.oy, seed.best.oy);
-  expect_costs_identical(batch.cost, seed.cost);
+  for (const bool scalar : {false, true}) {
+    simd::set_force_scalar(scalar);
+    const SpatialSearchResult got = search_spatial(c, arch, {}, 8);
+    simd::set_force_scalar(false);
+    EXPECT_EQ(got.best.k, seed_winner.k) << "scalar=" << scalar;
+    EXPECT_EQ(got.best.c, seed_winner.c) << "scalar=" << scalar;
+    EXPECT_EQ(got.best.ox, seed_winner.ox) << "scalar=" << scalar;
+    EXPECT_EQ(got.best.oy, seed_winner.oy) << "scalar=" << scalar;
+    expect_costs_identical(got.cost, seed_cost);
+  }
 }
 
 TEST_F(BatchEvalTest, DenormalAndOverflowEdgeCasesStayIdentical) {

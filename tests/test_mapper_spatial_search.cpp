@@ -4,10 +4,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
+#include "mapper_oracle.hpp"
 #include "uld3d/mapper/table2.hpp"
 #include "uld3d/nn/zoo.hpp"
 #include "uld3d/util/check.hpp"
+#include "uld3d/util/rng.hpp"
 
 namespace uld3d::mapper {
 namespace {
@@ -103,28 +106,35 @@ TEST(SpatialSearch, NetworkSearchAggregates) {
 //
 // The bound's contract: pruning may only skip PRICING candidates that
 // provably cannot beat the incumbent — the winner, its cost, and the
-// candidate count must be bit-identical with pruning on or off.
+// candidate count must be bit-identical to the unpruned search.  "Prune
+// off" is oracle::exhaustive_search_spatial from tests/oracle, which prices
+// every unrolling.
 
-/// Restores the global prune lever (tests flip it for A/B runs).
-class SpatialPruneTest : public ::testing::Test {
- protected:
-  void TearDown() override { set_spatial_prune_enabled(true); }
-};
+using SpatialPruneTest = ::testing::Test;
 
 TEST_F(SpatialPruneTest, WinnerAndCostBitIdenticalPruneOnVsOff) {
   // Several layer shapes x architectures x CS counts, including the
-  // small-C layer where the search moves the most and prunes the hardest.
+  // small-C layer where the search moves the most and prunes the hardest,
+  // plus random shapes.
+  std::vector<nn::ConvSpec> layers{conv(96, 3, 55, 11), conv(256, 96, 27, 5),
+                                   conv(512, 512, 7, 3)};
+  Rng rng(0x5a7);
+  for (int i = 0; i < 12; ++i) {
+    nn::ConvSpec s = conv(static_cast<std::int64_t>(1 + rng.below(512)),
+                          static_cast<std::int64_t>(1 + rng.below(512)),
+                          static_cast<std::int64_t>(1 + rng.below(64)),
+                          static_cast<std::int64_t>(1 + rng.below(7)));
+    s.oy = static_cast<std::int64_t>(1 + rng.below(64));
+    layers.push_back(s);
+  }
   for (const int arch_index : {1, 3}) {
     const auto arch = make_table2_architecture(arch_index);
-    for (const auto& layer :
-         {conv(96, 3, 55, 11), conv(256, 96, 27, 5), conv(512, 512, 7, 3)}) {
+    for (const auto& layer : layers) {
       for (const std::int64_t n_cs : {std::int64_t{1}, std::int64_t{8}}) {
-        set_spatial_prune_enabled(true);
         const SpatialSearchResult pruned =
             search_spatial(layer, arch, {}, n_cs);
-        set_spatial_prune_enabled(false);
         const SpatialSearchResult exhaustive =
-            search_spatial(layer, arch, {}, n_cs);
+            oracle::exhaustive_search_spatial(layer, arch, {}, n_cs);
 
         EXPECT_EQ(pruned.best.k, exhaustive.best.k);
         EXPECT_EQ(pruned.best.c, exhaustive.best.c);
@@ -155,14 +165,6 @@ TEST_F(SpatialPruneTest, BadlyMatchedLayerActuallyPrunes) {
   const SpatialSearchResult r = search_spatial(conv(96, 3, 55, 11), arch, {}, 1);
   EXPECT_GT(r.lb_pruned, 0u);
   EXPECT_LT(r.lb_pruned, r.candidates);
-  EXPECT_EQ(r.candidates, 286u);
-}
-
-TEST_F(SpatialPruneTest, DisabledLeverPricesEveryCandidate) {
-  const auto arch = make_table2_architecture(3);
-  set_spatial_prune_enabled(false);
-  const SpatialSearchResult r = search_spatial(conv(96, 3, 55, 11), arch, {}, 1);
-  EXPECT_EQ(r.lb_pruned, 0u);
   EXPECT_EQ(r.candidates, 286u);
 }
 

@@ -117,7 +117,15 @@ TEST(Zoo, UnknownNameThrows) {
 TEST(Zoo, AllZooNamesResolve) {
   for (const auto& name : zoo_names()) {
     EXPECT_NO_THROW(make_network(name)) << name;
+    EXPECT_TRUE(is_zoo_network(name)) << name;
   }
+}
+
+TEST(Zoo, IsZooNetworkMatchesMakeNetwork) {
+  EXPECT_TRUE(is_zoo_network("vgg"));
+  EXPECT_TRUE(is_zoo_network("RESNET_18"));
+  EXPECT_FALSE(is_zoo_network("lenet-5"));
+  EXPECT_FALSE(is_zoo_network(""));
 }
 
 class ZooConsistency : public ::testing::TestWithParam<std::string> {};

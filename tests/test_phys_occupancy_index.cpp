@@ -1,11 +1,12 @@
-// Differential and determinism suite for the placement fast paths.
+// Differential and golden suite for the placement engine.
 //
-// The occupancy index, run-skipping scans, and spatial buckets are pure
-// accelerators: their contract is bit-identical behaviour to the naive
-// byte-grid / linear-scan implementations.  These tests drive both sides
+// The occupancy index, run-skipping scans, spatial buckets and best-first
+// scan are pure accelerators: their contract is bit-identical behaviour to
+// the naive byte-grid / linear-scan / in-order-scan implementations kept in
+// tests/oracle.  These tests drive the production paths and the oracles
 // with thousands of randomized operations and assert exact agreement, then
-// pin the end-to-end contract by comparing a full run_comparison with the
-// fast paths on vs. off, bit for bit.
+// pin full run_comparison reports to digests recorded when the production
+// scan was last checked against the in-order scan at flow scale.
 #include "uld3d/phys/occupancy_index.hpp"
 
 #include <gtest/gtest.h>
@@ -14,9 +15,12 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "floorplan_oracle.hpp"
+#include "placer_oracle.hpp"
 #include "uld3d/phys/floorplan.hpp"
 #include "uld3d/phys/m3d_flow.hpp"
 #include "uld3d/phys/placer.hpp"
@@ -28,17 +32,6 @@
 
 namespace uld3d::phys {
 namespace {
-
-/// Restore the process-wide fast-path flag on scope exit, so a failing
-/// assertion cannot leak a disabled index into later tests.
-class IndexFlagGuard {
- public:
-  IndexFlagGuard() : saved_(placer_index_enabled()) {}
-  ~IndexFlagGuard() { set_placer_index_enabled(saved_); }
-
- private:
-  bool saved_;
-};
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -233,19 +226,14 @@ TEST(RectBuckets, MatchesLinearScanOnRandomInsertRemoveQuery) {
   }
 }
 
-TEST(PlacerIndexFlag, RuntimeToggleRoundTrips) {
-  const IndexFlagGuard guard;
-  set_placer_index_enabled(false);
-  EXPECT_FALSE(placer_index_enabled());
-  set_placer_index_enabled(true);
-  EXPECT_TRUE(placer_index_enabled());
-}
-
 TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
-  const IndexFlagGuard guard;
+  // "Index off" is the byte-grid oracle: every query walks the bytes.
   Rng rng(0xf100);
+  const auto tier = tech::TierKind::kSiCmosFeol;
   for (int trial = 0; trial < 8; ++trial) {
     Floorplan fp(4000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
+    oracle::GridFloorplan grid(4000.0, 3000.0,
+                               tech::TierStack::make_m3d_130nm(), 50.0);
     const auto random_rect = [&] {
       const double x = rng.uniform() * 3900.0;
       const double y = rng.uniform() * 2900.0;
@@ -255,26 +243,20 @@ TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
     };
     for (int op = 0; op < 300; ++op) {
       const Rect r = random_rect();
-      const auto tier = tech::TierKind::kSiCmosFeol;
       switch (rng.below(4)) {
         case 0: {
-          // Both implementations must agree BEFORE the mutation decides.
-          set_placer_index_enabled(true);
-          const bool fast_free = fp.region_free(tier, r);
-          set_placer_index_enabled(false);
-          const bool naive_free = fp.region_free(tier, r);
-          ASSERT_EQ(fast_free, naive_free) << "trial " << trial << " op " << op;
-          set_placer_index_enabled(true);
-          fp.allocate_region(tier, r);
+          // Both must agree BEFORE the mutation decides.
+          ASSERT_EQ(fp.region_free(tier, r), grid.region_free(tier, r))
+              << "trial " << trial << " op " << op;
+          ASSERT_EQ(fp.allocate_region(tier, r), grid.allocate_region(tier, r))
+              << "trial " << trial << " op " << op;
           break;
         }
         case 1: {
           const double w = 100.0 + rng.uniform() * 1000.0;
           const double h = 100.0 + rng.uniform() * 1000.0;
-          set_placer_index_enabled(true);
           const auto fast_found = fp.find_free_region(tier, w, h);
-          set_placer_index_enabled(false);
-          const auto naive_found = fp.find_free_region(tier, w, h);
+          const auto naive_found = grid.find_free_region(tier, w, h);
           ASSERT_EQ(fast_found.has_value(), naive_found.has_value())
               << "trial " << trial << " op " << op;
           if (fast_found.has_value()) {
@@ -283,46 +265,36 @@ TEST(FloorplanDifferential, QueriesAgreeWithIndexOnAndOff) {
           }
           break;
         }
-        case 2: {
-          set_placer_index_enabled(true);
-          const std::int64_t fast_col = fp.rightmost_occupied_col(tier, r);
-          set_placer_index_enabled(false);
-          const std::int64_t naive_col = fp.rightmost_occupied_col(tier, r);
-          ASSERT_EQ(fast_col, naive_col) << "trial " << trial << " op " << op;
-          break;
-        }
-        default: {
-          set_placer_index_enabled(true);
-          const double fast_free = fp.free_area_um2(tier);
-          const double fast_util = fp.utilization(tier);
-          set_placer_index_enabled(false);
-          ASSERT_TRUE(same_bits(fast_free, fp.free_area_um2(tier)))
-              << "trial " << trial << " op " << op;
-          ASSERT_TRUE(same_bits(fast_util, fp.utilization(tier)))
+        case 2:
+          ASSERT_EQ(fp.rightmost_occupied_col(tier, r),
+                    grid.rightmost_occupied_col(tier, r))
               << "trial " << trial << " op " << op;
           break;
-        }
+        default:
+          ASSERT_TRUE(same_bits(fp.free_area_um2(tier),
+                                grid.free_area_um2(tier)))
+              << "trial " << trial << " op " << op;
+          ASSERT_TRUE(same_bits(fp.utilization(tier), grid.utilization(tier)))
+              << "trial " << trial << " op " << op;
+          break;
       }
-      set_placer_index_enabled(true);
     }
   }
 }
 
 TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
-  const IndexFlagGuard guard;
   Rng seq(0x9a);
   for (int trial = 0; trial < 6; ++trial) {
     Floorplan fast_fp(3000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
-    Floorplan naive_fp(3000.0, 3000.0, tech::TierStack::make_m3d_130nm(), 50.0);
+    oracle::GridFloorplan naive_fp(3000.0, 3000.0,
+                                   tech::TierStack::make_m3d_130nm(), 50.0);
     for (int op = 0; op < 25; ++op) {
       const double area = 1.0e4 + seq.uniform() * 8.0e5;
       const bool m3d = seq.below(2) == 0;
       const std::string name = "m" + std::to_string(op);
       const Macro macro = m3d ? Macro::rram_array_m3d(name, area)
                               : Macro::rram_array_2d(name, area);
-      set_placer_index_enabled(true);
       const auto fast_placed = fast_fp.place_macro_anywhere(macro);
-      set_placer_index_enabled(false);
       const auto naive_placed = naive_fp.place_macro_anywhere(macro);
       ASSERT_EQ(fast_placed.has_value(), naive_placed.has_value())
           << "trial " << trial << " op " << op;
@@ -331,12 +303,11 @@ TEST(FloorplanDifferential, PlaceMacroAnywhereAgreesWithNaiveScan) {
             << "trial " << trial << " op " << op;
       }
     }
-    set_placer_index_enabled(true);
   }
 }
 
-/// One randomized placer input, rebuilt from scratch for each mode so the
-/// fast and reference runs start from identical floorplans.
+/// One randomized placer input, rebuilt from scratch for the production
+/// placer and for the oracle so both start from identical floorplans.
 struct PlacerCase {
   double width = 0.0;
   double height = 0.0;
@@ -348,18 +319,12 @@ struct PlacerCase {
 };
 
 /// Places `c.macros` (some may not fit; the outcome is deterministic) and
-/// returns the floorplan.
-Floorplan build_floorplan(const PlacerCase& c) {
-  Floorplan fp(c.width, c.height, tech::TierStack::make_m3d_130nm(), c.bin);
+/// returns the floorplan: a phys::Floorplan or the oracle's byte grid.
+template <typename Plan>
+Plan build_floorplan(const PlacerCase& c) {
+  Plan fp(c.width, c.height, tech::TierStack::make_m3d_130nm(), c.bin);
   for (const auto& [macro, at] : c.macros) fp.place_macro(macro, at.x, at.y);
   return fp;
-}
-
-PlacementResult run_case(const PlacerCase& c, bool fast) {
-  set_placer_index_enabled(fast);
-  Floorplan fp = build_floorplan(c);
-  Rng rng(c.seed);
-  return Placer(c.options).place(fp, c.blocks, rng);
 }
 
 PlacerCase random_placer_case(Rng& rng, int trial) {
@@ -446,7 +411,7 @@ PlacerCase random_placer_case(Rng& rng, int trial) {
     }
     c.macros.emplace_back(macro, at);
   }
-  const std::size_t n_fixed = build_floorplan(c).macros().size();
+  const std::size_t n_fixed = build_floorplan<Floorplan>(c).macros().size();
 
   // Soft blocks filling 10%..110% of the die, so the step/2 and shelf
   // fallbacks (and outright failures) are all reached.
@@ -480,7 +445,6 @@ PlacerCase random_placer_case(Rng& rng, int trial) {
 }
 
 TEST(PlacerDifferential, BestFirstScanMatchesReferenceScan) {
-  const IndexFlagGuard guard;
   Rng rng(0x5ca9);
   int second_chance = 0;  // placements only the step/2 scan can produce
   int shelf = 0;          // placements only the shelf packing can produce
@@ -488,8 +452,14 @@ TEST(PlacerDifferential, BestFirstScanMatchesReferenceScan) {
   int ties = 0;           // zero-affinity or zero-weight blocks
   for (int trial = 0; trial < 300; ++trial) {
     const PlacerCase c = random_placer_case(rng, trial);
-    const PlacementResult fast = run_case(c, true);
-    const PlacementResult naive = run_case(c, false);
+    Floorplan fp = build_floorplan<Floorplan>(c);
+    Rng fast_rng(c.seed);
+    const PlacementResult fast =
+        Placer(c.options).place(fp, c.blocks, fast_rng);
+    oracle::GridFloorplan grid = build_floorplan<oracle::GridFloorplan>(c);
+    Rng naive_rng(c.seed);
+    const PlacementResult naive =
+        oracle::reference_place(grid, c.blocks, c.options, naive_rng);
     ASSERT_EQ(fast.success, naive.success) << "trial " << trial;
     ASSERT_EQ(fast.unplaced, naive.unplaced) << "trial " << trial;
     ASSERT_EQ(fast.source_index, naive.source_index) << "trial " << trial;
@@ -499,6 +469,12 @@ TEST(PlacerDifferential, BestFirstScanMatchesReferenceScan) {
     for (std::size_t i = 0; i < fast.blocks.size(); ++i) {
       ASSERT_TRUE(same_rect(fast.blocks[i].rect, naive.blocks[i].rect))
           << "trial " << trial << " block " << i;
+    }
+    // Both committed the same regions.
+    for (const auto tier :
+         {tech::TierKind::kSiCmosFeol, tech::TierKind::kRram}) {
+      ASSERT_TRUE(same_bits(fp.utilization(tier), grid.utilization(tier)))
+          << "trial " << trial;
     }
 
     const double step = c.options.grid_step_um;
@@ -536,77 +512,116 @@ FlowInput case_study_input(double capacity_mb = 64.0) {
   return input;
 }
 
-void expect_reports_identical(const DesignReport& a, const DesignReport& b) {
-  EXPECT_EQ(a.feasible, b.feasible);
-  EXPECT_EQ(a.unplaced, b.unplaced);
-  EXPECT_TRUE(same_bits(a.die_width_um, b.die_width_um));
-  EXPECT_TRUE(same_bits(a.footprint_mm2, b.footprint_mm2));
-  EXPECT_TRUE(same_bits(a.si_utilization, b.si_utilization));
-  EXPECT_EQ(a.cs_placed, b.cs_placed);
-  EXPECT_TRUE(same_bits(a.placement_hpwl_um, b.placement_hpwl_um));
-  EXPECT_TRUE(same_bits(a.total_wirelength_um, b.total_wirelength_um));
-  EXPECT_EQ(a.buffers, b.buffers);
-  EXPECT_TRUE(same_bits(a.congestion_peak, b.congestion_peak));
-  EXPECT_TRUE(same_bits(a.congestion_overflow, b.congestion_overflow));
-  EXPECT_TRUE(same_bits(a.total_power_mw, b.total_power_mw));
-  EXPECT_TRUE(same_bits(a.peak_density_mw_per_mm2, b.peak_density_mw_per_mm2));
-  EXPECT_TRUE(
-      same_bits(a.upper_tier_power_fraction, b.upper_tier_power_fraction));
-  ASSERT_EQ(a.placed_macros.size(), b.placed_macros.size());
-  for (std::size_t i = 0; i < a.placed_macros.size(); ++i) {
-    EXPECT_TRUE(same_rect(a.placed_macros[i].rect, b.placed_macros[i].rect))
-        << "macro " << i;
+/// FNV-1a over the exact bits of every value a flow comparison reports.
+class Digest {
+ public:
+  void add_u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ull;
+    }
   }
-  ASSERT_EQ(a.placed_blocks.size(), b.placed_blocks.size());
-  for (std::size_t i = 0; i < a.placed_blocks.size(); ++i) {
-    EXPECT_EQ(a.placed_blocks[i].macro.name, b.placed_blocks[i].macro.name);
-    EXPECT_TRUE(same_rect(a.placed_blocks[i].rect, b.placed_blocks[i].rect))
-        << "block " << i;
+  void add(double v) { add_u64(std::bit_cast<std::uint64_t>(v)); }
+  void add(std::int64_t v) { add_u64(static_cast<std::uint64_t>(v)); }
+  void add(bool v) { add_u64(v ? 1u : 0u); }
+  void add(const std::string& s) {
+    add_u64(s.size());
+    for (const char c : s) add_u64(static_cast<unsigned char>(c));
   }
-  ASSERT_EQ(a.bus_routes.size(), b.bus_routes.size());
-  for (std::size_t i = 0; i < a.bus_routes.size(); ++i) {
-    EXPECT_TRUE(same_bits(a.bus_routes[i].from.x, b.bus_routes[i].from.x));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].from.y, b.bus_routes[i].from.y));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].to.x, b.bus_routes[i].to.x));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].to.y, b.bus_routes[i].to.y));
-    EXPECT_TRUE(same_bits(a.bus_routes[i].tracks, b.bus_routes[i].tracks));
+  void add(const Rect& r) {
+    add(r.x0);
+    add(r.y0);
+    add(r.x1);
+    add(r.y1);
   }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void digest_report(Digest& d, const DesignReport& r) {
+  d.add(r.feasible);
+  d.add_u64(r.unplaced.size());
+  for (const auto& name : r.unplaced) d.add(name);
+  d.add_u64(r.placed_macros.size());
+  for (const auto& m : r.placed_macros) {
+    d.add(m.macro.name);
+    d.add(m.rect);
+  }
+  d.add_u64(r.placed_blocks.size());
+  for (const auto& b : r.placed_blocks) {
+    d.add(b.macro.name);
+    d.add(b.rect);
+  }
+  d.add(r.die_width_um);
+  d.add(r.die_height_um);
+  d.add(r.footprint_mm2);
+  d.add(r.si_utilization);
+  d.add(r.cs_placed);
+  d.add(r.intra_cs_wirelength_um);
+  d.add(r.placement_hpwl_um);
+  d.add(r.inter_block_wirelength_um);
+  d.add(r.total_wirelength_um);
+  d.add_u64(r.bus_routes.size());
+  for (const auto& route : r.bus_routes) {
+    d.add(route.from.x);
+    d.add(route.from.y);
+    d.add(route.to.x);
+    d.add(route.to.y);
+    d.add(route.tracks);
+  }
+  d.add(r.buffers);
+  d.add(r.ilv_count);
+  d.add(r.congestion_peak);
+  d.add(r.congestion_overflow);
+  d.add(r.timing.critical_path_ns);
+  d.add(r.total_power_mw);
+  d.add(r.upper_tier_power_fraction);
+  d.add(r.peak_density_mw_per_mm2);
 }
 
-/// A full run_comparison with `banks` M3D CSs (8 MB of RRAM each, the
-/// case-study ratio) must be bit-identical with the fast paths on and off.
-void expect_comparison_identical_with_index_off(std::int64_t banks) {
-  const IndexFlagGuard guard;
+std::uint64_t comparison_digest(const FlowComparison& c) {
+  Digest d;
+  digest_report(d, c.design_2d);
+  digest_report(d, c.design_3d);
+  d.add(c.iso_footprint);
+  d.add(c.wirelength_per_cs_ratio);
+  d.add(c.peak_density_ratio);
+  return d.value();
+}
+
+/// Pins a full run_comparison with `banks` M3D CSs (8 MB of RRAM each, the
+/// case-study ratio) to the digest recorded when the best-first scan and
+/// the in-order reference scan were last run side by side at this scale
+/// and produced the same bits.  A digest change means placements moved:
+/// run PlacerDifferential first, and re-record only for an intended
+/// change to the model.
+void expect_comparison_digest(std::int64_t banks, std::uint64_t expected) {
   const M3dFlow flow;
   const FlowInput input = case_study_input(8.0 * static_cast<double>(banks));
-  set_placer_index_enabled(true);
-  const FlowComparison fast = flow.run_comparison(input, banks);
-  set_placer_index_enabled(false);
-  const FlowComparison naive = flow.run_comparison(input, banks);
-  set_placer_index_enabled(true);
-  expect_reports_identical(fast.design_2d, naive.design_2d);
-  expect_reports_identical(fast.design_3d, naive.design_3d);
-  EXPECT_EQ(fast.iso_footprint, naive.iso_footprint);
-  EXPECT_TRUE(
-      same_bits(fast.wirelength_per_cs_ratio, naive.wirelength_per_cs_ratio));
-  EXPECT_TRUE(same_bits(fast.peak_density_ratio, naive.peak_density_ratio));
+  const FlowComparison got = flow.run_comparison(input, banks);
+  EXPECT_TRUE(got.design_2d.feasible);
+  EXPECT_TRUE(got.design_3d.feasible);
+  EXPECT_EQ(comparison_digest(got), expected)
+      << std::hex << "digest 0x" << comparison_digest(got) << std::dec
+      << " (M3D placement HPWL " << got.design_3d.placement_hpwl_um
+      << " um, Si utilization " << got.design_3d.si_utilization << ")";
 }
 
-TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff) {
-  expect_comparison_identical_with_index_off(8);
+TEST(PlacementDeterminism, RunComparisonMatchesGolden8Banks) {
+  expect_comparison_digest(8, 0x566e34834dde8bb4ull);
 }
 
-TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff15Banks) {
-  expect_comparison_identical_with_index_off(15);
+TEST(PlacementDeterminism, RunComparisonMatchesGolden15Banks) {
+  expect_comparison_digest(15, 0x18eb8f9c6a0b7641ull);
 }
 
-TEST(PlacementDeterminism, RunComparisonBitIdenticalWithIndexOff32Banks) {
-  expect_comparison_identical_with_index_off(32);
+TEST(PlacementDeterminism, RunComparisonMatchesGolden32Banks) {
+  expect_comparison_digest(32, 0x949bc615446c0573ull);
 }
 
 TEST(PlacerMetrics, CountersTrackScanAndSkipActivity) {
-  const IndexFlagGuard guard;
-  set_placer_index_enabled(true);
   MetricsRegistry::set_enabled(true);
   MetricsRegistry& registry = MetricsRegistry::instance();
   registry.counter("phys.placer.candidates_scanned").reset();

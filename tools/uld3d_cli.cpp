@@ -38,8 +38,7 @@
 //                               merge-save it after, so repeated runs,
 //                               --resume runs, and all shards of a sharded
 //                               sweep share one warm cache.
-//                               ULD3D_MAPCACHE_FILE mirrors the flag;
-//                               ULD3D_NO_MAPCACHE_FILE disables the layer.
+//                               ULD3D_MAPCACHE_FILE mirrors the flag.
 //
 // Sweep checkpoint/sharding flags (DESIGN.md §13):
 //               --checkpoint FILE        periodically flush resumable sweep
@@ -229,6 +228,14 @@ CliArgs parse_args(int argc, char** argv) {
     } else {
       throw UsageError("unknown argument: " + flag + "\n" + kUsage);
     }
+  }
+  if (!nn::is_zoo_network(args.network)) {
+    std::string known;
+    for (const std::string& name : nn::zoo_names()) {
+      known += (known.empty() ? "" : ", ") + name;
+    }
+    throw UsageError("unknown network: " + args.network + " (known: " +
+                     known + ")\n" + kUsage);
   }
   return args;
 }
@@ -648,7 +655,7 @@ int main(int argc, char** argv) {
       std::string store = args.mapcache_file.empty()
                               ? mapper::mapcache_file_path_from_env()
                               : args.mapcache_file;
-      if (!store.empty() && mapper::mapcache_file_enabled()) {
+      if (!store.empty()) {
         mapcache_session.emplace(std::move(store));
       }
     }
@@ -668,9 +675,12 @@ int main(int argc, char** argv) {
     std::cerr << "config error: " << error.what() << "\n";
     return kExitConfig;
   } catch (const StatusError& error) {
-    std::cerr << "model error: " << error.what() << "\n";
-    return error.code() == ErrorCode::kInvalidConfig ? kExitConfig
-                                                     : kExitModel;
+    // Refusals of bad input (a corrupt map-cache store, a mismatched
+    // checkpoint) exit 3 like load-time config errors, with the same prefix.
+    const bool config = error.code() == ErrorCode::kInvalidConfig;
+    std::cerr << (config ? "config error: " : "model error: ") << error.what()
+              << "\n";
+    return config ? kExitConfig : kExitModel;
   } catch (const PreconditionError& error) {
     std::cerr << "model error: " << error.what() << "\n";
     return kExitModel;
